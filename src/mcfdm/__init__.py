@@ -4,18 +4,13 @@ The package prices European calls and puts under geometric Brownian motion
 four ways: an explicit finite difference scheme whose convection term is
 tuned by a flux-conserving cell average (MCFDM), a Crank-Nicolson baseline
 (CFDM), a blocked Monte Carlo estimator, and the closed form backed by a
-quadrature cross-check. The ``mcfdm`` command line runs pricing jobs,
-error tables, timing comparisons, theta-scaling studies, and convergence
-studies, emitting text, CSV, or JSON reports.
+quadrature cross-check. The ``mcfdm`` command line (``mcfdm.cli``) runs
+pricing jobs, error tables, timing comparisons, theta-scaling studies, and
+convergence studies, emitting text, CSV, or JSON reports.
 """
 
 from ._version import __version__
-from .crank_nicolson import (
-    TridiagonalSystem,
-    crank_nicolson_surface,
-    solve_crank_nicolson,
-    thomas_solve,
-)
+from .crank_nicolson import crank_nicolson_surface, solve_crank_nicolson
 from .errors import (
     McfdmError,
     QuadratureError,
@@ -26,8 +21,6 @@ from .errors import (
 from .mean_convection import (
     McfdmReport,
     ThetaConfig,
-    convection_flux_difference,
-    explicit_step,
     max_stable_dt,
     solve_mcfdm,
     theta_at,
@@ -35,44 +28,27 @@ from .mean_convection import (
 from .model import (
     AlphaProfile,
     Discretization,
-    Edge,
     MarketParams,
     Method,
     OptionContract,
     OptionKind,
     PriceSurface,
     PricingResult,
-    boundary_value,
     build_grid,
     payoff,
 )
 from .monte_carlo import McConfig, price_monte_carlo, sample_terminal_price
 from .oracle import (
     CdfMethod,
-    OracleConfig,
     black_scholes_price,
     risk_neutral_integral_price,
     std_normal_cdf,
-)
-from .cli import (
-    JobSpec,
-    ReportRow,
-    TableReport,
-    format_error,
-    jobspec_from_report,
-    run_convergence,
-    run_price,
-    run_table,
-    run_theta_study,
-    run_timing,
 )
 
 __all__ = [
     "AlphaProfile",
     "CdfMethod",
     "Discretization",
-    "Edge",
-    "JobSpec",
     "MarketParams",
     "McConfig",
     "McfdmError",
@@ -80,39 +56,24 @@ __all__ = [
     "Method",
     "OptionContract",
     "OptionKind",
-    "OracleConfig",
     "PriceSurface",
     "PricingResult",
     "QuadratureError",
-    "ReportRow",
     "SingularSystemError",
     "StabilityError",
-    "TableReport",
     "ThetaConfig",
-    "TridiagonalSystem",
     "ValidationError",
     "__version__",
     "black_scholes_price",
-    "boundary_value",
     "build_grid",
-    "convection_flux_difference",
     "crank_nicolson_surface",
-    "explicit_step",
-    "format_error",
-    "jobspec_from_report",
     "max_stable_dt",
     "payoff",
     "price_monte_carlo",
     "risk_neutral_integral_price",
-    "run_convergence",
-    "run_price",
-    "run_table",
-    "run_theta_study",
-    "run_timing",
     "sample_terminal_price",
     "solve_crank_nicolson",
     "solve_mcfdm",
     "std_normal_cdf",
     "theta_at",
-    "thomas_solve",
 ]

@@ -21,7 +21,6 @@ import math
 import statistics
 import sys
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict, dataclass, field, replace
 from datetime import datetime, timezone
 from pathlib import Path
@@ -384,6 +383,14 @@ def _run_method(
     raise ValidationError(f"unknown method {method!r}")
 
 
+def _error_kind(exc: McfdmError) -> str:
+    if isinstance(exc, StabilityError):
+        return "stability"
+    if isinstance(exc, ValidationError):
+        return "invalid"
+    return "solver"
+
+
 def _solve_row(
     job: JobSpec,
     method: str,
@@ -425,26 +432,6 @@ def _solve_row(
             elapsed_seconds=elapsed,
             metadata=meta,
         )
-    except StabilityError as exc:
-        return ReportRow(
-            method=method,
-            maturity_years=maturity,
-            price=None,
-            abs_error=None,
-            elapsed_seconds=None,
-            error=str(exc),
-            error_kind="stability",
-        )
-    except ValidationError as exc:
-        return ReportRow(
-            method=method,
-            maturity_years=maturity,
-            price=None,
-            abs_error=None,
-            elapsed_seconds=None,
-            error=str(exc),
-            error_kind="invalid",
-        )
     except McfdmError as exc:
         return ReportRow(
             method=method,
@@ -453,7 +440,7 @@ def _solve_row(
             abs_error=None,
             elapsed_seconds=None,
             error=str(exc),
-            error_kind="solver",
+            error_kind=_error_kind(exc),
         )
 
 
@@ -522,17 +509,13 @@ def run_table(maturities: Sequence[float], job: JobSpec) -> TableReport:
     if not maturities:
         raise ValidationError("maturity list must be nonempty")
     _validate_job(job, maturities)
-    tasks = [
-        (method, maturity)
+    # rows run one at a time so that each row's elapsed_seconds times its
+    # solve alone
+    rows = [
+        _solve_row(job, method, maturity)
         for method in _methods_for(job)
         for maturity in maturities
     ]
-    if len(tasks) == 1:
-        rows = [_solve_row(job, *tasks[0])]
-    else:
-        # independent jobs run concurrently; assembly stays ordered
-        with ThreadPoolExecutor(max_workers=min(4, len(tasks))) as pool:
-            rows = list(pool.map(lambda t: _solve_row(job, *t), tasks))
     return TableReport(
         provenance=_provenance(job, subcommand="table", maturities=maturities),
         rows=tuple(rows),
@@ -758,27 +741,12 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _job_from_args(args: argparse.Namespace, *, maturity: float) -> JobSpec:
-    return JobSpec(
-        method=args.method,
-        kind=args.kind,
-        spot=args.spot,
-        strike=args.strike,
-        rate=args.rate,
-        vol=args.vol,
-        maturity=maturity,
-        n_space=args.n_space,
-        n_time=args.n_time,
-        s_max=args.s_max,
-        theta_scale=args.theta_scale,
-        theta_mode=args.theta_mode,
-        alpha=args.alpha,
-        paths=args.paths,
-        seed=args.seed,
-        mc_steps=args.mc_steps,
-        allow_unstable=args.allow_unstable,
-        fmt=args.format,
-        out=args.out,
-    )
+    shared = {
+        name: getattr(args, name)
+        for name in JobSpec.__dataclass_fields__
+        if name not in ("maturity", "fmt")
+    }
+    return JobSpec(**shared, maturity=maturity, fmt=args.format)
 
 
 def _emit(report: TableReport, job: JobSpec) -> None:

@@ -1,164 +1,54 @@
 """Crank-Nicolson baseline solver.
 
 Unconditionally stable trapezoidal time stepping with the classical central
-stencil. Each backward-time level solves one tridiagonal system; the hot
-loop delegates to LAPACK through ``scipy.linalg.solve_banded``, while
-``thomas_solve`` provides a plain elimination used for cross-checks.
+stencil: the shared march with time weight 1/2 and no convection fitting.
+The tridiagonal matrix is the same at every level, so LAPACK factors it once
+and each level costs one back substitution.
 """
 
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg
 
-from .errors import SingularSystemError, ValidationError
 from .model import (
     Discretization,
     MarketParams,
     Method,
     OptionContract,
-    OptionKind,
     PriceSurface,
     PricingResult,
+    _boundaries,
+    _march,
+    _operator,
     payoff,
 )
 from .oracle import black_scholes_price
 
 __all__ = [
-    "TridiagonalSystem",
     "crank_nicolson_surface",
     "solve_crank_nicolson",
-    "thomas_solve",
 ]
 
-# pivots below this fraction of the largest band entry count as singular
-_PIVOT_TOLERANCE = 1e-14
 
-
-@dataclass(frozen=True, slots=True)
-class TridiagonalSystem:
-    """Tridiagonal system: three coefficient bands plus a right-hand side.
-
-    ``diag`` and ``rhs`` have length n, ``lower`` and ``upper`` length n-1.
-    """
-
-    lower: np.ndarray
-    diag: np.ndarray
-    upper: np.ndarray
-    rhs: np.ndarray
-
-    def __post_init__(self) -> None:
-        for name in ("lower", "diag", "upper", "rhs"):
-            object.__setattr__(
-                self, name, np.asarray(getattr(self, name), dtype=float)
-            )
-        n = self.diag.size
-        if self.diag.ndim != 1 or n < 2:
-            raise ValidationError("diag must be 1-d with at least 2 entries")
-        if self.lower.shape != (n - 1,) or self.upper.shape != (n - 1,):
-            raise ValidationError(
-                f"lower and upper must have length {n - 1}, got "
-                f"{self.lower.shape} and {self.upper.shape}"
-            )
-        if self.rhs.shape != (n,):
-            raise ValidationError(f"rhs must have length {n}, got {self.rhs.shape}")
-
-    @property
-    def size(self) -> int:
-        return self.diag.size
-
-
-def thomas_solve(system: TridiagonalSystem) -> np.ndarray:
-    """Solve the tridiagonal system by forward elimination.
-
-    Raises ``SingularSystemError`` when an elimination pivot falls below
-    ``1e-14`` times the largest band magnitude.
-    """
-    n = system.size
-    scale = max(
-        float(np.abs(system.diag).max()),
-        float(np.abs(system.lower).max()),
-        float(np.abs(system.upper).max()),
-    )
-    if scale == 0.0:
-        raise SingularSystemError("all matrix bands are zero")
-    threshold = _PIVOT_TOLERANCE * scale
-    # plain Python floats keep the sweep cheap for the sizes used here
-    lo = system.lower.tolist()
-    di = system.diag.tolist()
-    up = system.upper.tolist()
-    rb = system.rhs.tolist()
-    pivot = di[0]
-    if abs(pivot) < threshold:
-        raise SingularSystemError(f"pivot {pivot!r} at row 0 is effectively zero")
-    factors = [0.0] * (n - 1)
-    x = [rb[0] / pivot]
-    for i in range(1, n):
-        factors[i - 1] = up[i - 1] / pivot
-        pivot = di[i] - lo[i - 1] * factors[i - 1]
-        if abs(pivot) < threshold:
-            raise SingularSystemError(
-                f"pivot {pivot!r} at row {i} is effectively zero"
-            )
-        x.append((rb[i] - lo[i - 1] * x[i - 1]) / pivot)
-    for i in range(n - 2, -1, -1):
-        x[i] -= factors[i] * x[i + 1]
-    return np.asarray(x)
-
-
-def _march(
+def _cn_march(
     contract: OptionContract,
     market: MarketParams,
     disc: Discretization,
     *,
     keep_surface: bool,
-) -> tuple[np.ndarray, np.ndarray | None]:
-    """Backward-time trapezoidal march; returns the final level."""
+) -> tuple[np.ndarray, np.ndarray | None, bool]:
     s = disc.nodes()
-    s_interior = s[1:-1]
-    d = 0.5 * market.sigma**2 * s_interior**2 / disc.ds**2
-    c = market.r * s_interior / (2.0 * disc.ds)
-    half_dt = 0.5 * disc.dt
-    a_lower = half_dt * (d - c)
-    a_upper = half_dt * (d + c)
-    a_diag = 1.0 + disc.dt * d + half_dt * market.r
-    b_diag = 1.0 - disc.dt * d - half_dt * market.r
-    n = s_interior.size
-    ab = np.zeros((3, n))
-    ab[0, 1:] = -a_upper[:-1]
-    ab[1, :] = a_diag
-    ab[2, :-1] = -a_lower[1:]
-    v = payoff(contract, s)
-    levels = np.empty((disc.n_time + 1, disc.n_space + 1)) if keep_surface else None
-    if keep_surface:
-        levels[0] = v
-    is_call = contract.kind is OptionKind.CALL
-    strike, s_max = contract.strike, disc.s_max
-    discounts = np.exp(-market.r * np.arange(1, disc.n_time + 1) * disc.dt)
-    for step in range(1, disc.n_time + 1):
-        rhs = a_lower * v[:-2] + b_diag * v[1:-1] + a_upper * v[2:]
-        if is_call:
-            bc_lo, bc_hi = 0.0, s_max - strike * discounts[step - 1]
-        else:
-            bc_lo, bc_hi = strike * discounts[step - 1], 0.0
-        rhs[0] += a_lower[0] * bc_lo
-        rhs[-1] += a_upper[-1] * bc_hi
-        try:
-            interior = scipy.linalg.solve_banded(
-                (1, 1), ab, rhs, check_finite=False
-            )
-        except np.linalg.LinAlgError as exc:
-            raise SingularSystemError(str(exc)) from exc
-        out = np.empty_like(v)
-        out[0], out[-1] = bc_lo, bc_hi
-        out[1:-1] = interior
-        v = out
-        if keep_surface:
-            levels[step] = v
-    return v, levels
+    bands = _operator(market, s[1:-1], np.ones(disc.n_space - 1), disc.ds)
+    return _march(
+        payoff(contract, s),
+        bands,
+        _boundaries(contract, market, disc),
+        disc.dt,
+        0.5,
+        keep_surface=keep_surface,
+    )
 
 
 def solve_crank_nicolson(
@@ -169,7 +59,7 @@ def solve_crank_nicolson(
     """Price the contract on the grid and report the error versus the
     closed form."""
     t_start = time.perf_counter()
-    final, _ = _march(contract, market, disc, keep_surface=False)
+    final, _, _ = _cn_march(contract, market, disc, keep_surface=False)
     price = float(np.interp(contract.spot, disc.nodes(), final))
     elapsed = time.perf_counter() - t_start
     exact = black_scholes_price(contract, market)
@@ -188,5 +78,5 @@ def crank_nicolson_surface(
     disc: Discretization,
 ) -> PriceSurface:
     """Full backward-time price surface (level 0 is the payoff)."""
-    _, levels = _march(contract, market, disc, keep_surface=True)
+    _, levels, _ = _cn_march(contract, market, disc, keep_surface=True)
     return PriceSurface(values=levels, disc=disc)

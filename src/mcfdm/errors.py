@@ -25,7 +25,7 @@ class StabilityError(McfdmError):
 
 
 class SingularSystemError(McfdmError):
-    """Tridiagonal elimination hit a zero or near-zero pivot."""
+    """The implicit step's tridiagonal matrix is singular."""
 
 
 class QuadratureError(McfdmError):

@@ -15,7 +15,6 @@ import logging
 import math
 import time
 from dataclasses import dataclass
-from typing import Sequence
 
 import numpy as np
 
@@ -25,9 +24,11 @@ from .model import (
     MarketParams,
     Method,
     OptionContract,
-    OptionKind,
     PriceSurface,
     PricingResult,
+    _boundaries,
+    _march,
+    _operator,
     payoff,
 )
 from .oracle import black_scholes_price
@@ -35,17 +36,12 @@ from .oracle import black_scholes_price
 __all__ = [
     "McfdmReport",
     "ThetaConfig",
-    "convection_flux_difference",
-    "explicit_step",
     "max_stable_dt",
     "solve_mcfdm",
     "theta_at",
 ]
 
 logger = logging.getLogger(__name__)
-
-# single-step excess over the neighborhood maximum that counts as oscillation
-OSCILLATION_TOLERANCE = 1e-9
 
 
 @dataclass(frozen=True, slots=True)
@@ -126,77 +122,22 @@ def theta_at(
     return float(_theta_values(market, np.array([s], dtype=float), ds, config)[0])
 
 
-def convection_flux_difference(v: Sequence[float], theta: float) -> float:
-    """Flux difference across a node from its value triple.
-
-    With the half-node flux taken as the arithmetic average of adjacent
-    values, the difference telescopes to ``theta * (v[2] - v[0]) / 2``.
-    """
-    v_minus, _, v_plus = v
-    return theta * (v_plus - v_minus) / 2.0
-
-
-def _band_coefficients(
+def _dt_max(
     market: MarketParams,
     s_interior: np.ndarray,
     thetas: np.ndarray,
     ds: float,
-    dt: float,
-    *,
-    include_convection: bool = True,
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """One explicit step as a three-band linear update of the interior."""
-    diffusion = 0.5 * market.sigma**2 * s_interior**2 / ds**2
-    if include_convection:
-        convection = market.r * s_interior * thetas / (2.0 * ds)
-    else:
-        convection = np.zeros_like(s_interior)
-    lower = dt * (diffusion - convection)
-    center = 1.0 + dt * (-2.0 * diffusion - market.r)
-    upper = dt * (diffusion + convection)
-    return lower, center, upper
-
-
-def _boundary_pair(
-    contract: OptionContract,
-    market: MarketParams,
-    tau: float,
-    s_max: float,
-) -> tuple[float, float]:
-    discounted_strike = contract.strike * math.exp(-market.r * tau)
-    if contract.kind is OptionKind.CALL:
-        return 0.0, s_max - discounted_strike
-    return discounted_strike, 0.0
-
-
-def explicit_step(
-    level: np.ndarray,
-    contract: OptionContract,
-    market: MarketParams,
-    disc: Discretization,
-    config: ThetaConfig,
-    *,
-    tau_next: float,
-) -> np.ndarray:
-    """Advance one backward-time level.
-
-    Interior nodes follow the stencil; boundary nodes are overwritten with
-    the Dirichlet values at ``tau_next``, the backward time of the returned
-    level.
-    """
-    if level.shape != (disc.n_space + 1,):
-        raise ValidationError(
-            f"level must have length n_space+1={disc.n_space + 1}, got {level.shape}"
-        )
-    s = disc.nodes()
-    thetas = _theta_values(market, s[1:-1], disc.ds, config)
-    lower, center, upper = _band_coefficients(
-        market, s[1:-1], thetas, disc.ds, disc.dt
+) -> float:
+    """Stable explicit step bound shared by the solver and ``max_stable_dt``."""
+    denom = (
+        market.sigma**2 * s_interior**2
+        + market.r * s_interior * thetas * ds
+        + market.r * ds**2
     )
-    out = np.empty_like(level)
-    out[1:-1] = lower * level[:-2] + center * level[1:-1] + upper * level[2:]
-    out[0], out[-1] = _boundary_pair(contract, market, tau_next, disc.s_max)
-    return out
+    worst = float(denom.max())
+    if worst == 0.0:
+        return math.inf
+    return ds**2 / worst
 
 
 def max_stable_dt(
@@ -211,15 +152,7 @@ def max_stable_dt(
     """
     s_interior = disc.nodes()[1:-1]
     thetas = _theta_values(market, s_interior, disc.ds, config)
-    denom = (
-        market.sigma**2 * s_interior**2
-        + market.r * s_interior * thetas * disc.ds
-        + market.r * disc.ds**2
-    )
-    worst = float(denom.max())
-    if worst == 0.0:
-        return math.inf
-    return disc.ds**2 / worst
+    return _dt_max(market, s_interior, thetas, disc.ds)
 
 
 def solve_mcfdm(
@@ -256,13 +189,7 @@ def solve_mcfdm(
     s = disc.nodes()
     s_interior = s[1:-1]
     thetas = _theta_values(market, s_interior, disc.ds, config)
-    denom = (
-        market.sigma**2 * s_interior**2
-        + market.r * s_interior * thetas * disc.ds
-        + market.r * disc.ds**2
-    )
-    worst = float(denom.max())
-    dt_max = math.inf if worst == 0.0 else disc.ds**2 / worst
+    dt_max = _dt_max(market, s_interior, thetas, disc.ds)
     if disc.dt > dt_max:
         if not allow_unstable:
             raise StabilityError(
@@ -275,38 +202,16 @@ def solve_mcfdm(
             disc.dt,
             dt_max,
         )
-    lower, center, upper = _band_coefficients(
-        market,
-        s_interior,
-        thetas,
-        disc.ds,
+    convection_thetas = thetas if include_convection else np.zeros_like(thetas)
+    bands = _operator(market, s_interior, convection_thetas, disc.ds)
+    v, levels, oscillation = _march(
+        payoff(contract, s),
+        bands,
+        _boundaries(contract, market, disc),
         disc.dt,
-        include_convection=include_convection,
+        0.0,
+        keep_surface=keep_surface,
     )
-    v = payoff(contract, s)
-    discounts = np.exp(-market.r * np.arange(1, disc.n_time + 1) * disc.dt)
-    is_call = contract.kind is OptionKind.CALL
-    strike, s_max = contract.strike, disc.s_max
-    levels = np.empty((disc.n_time + 1, disc.n_space + 1)) if keep_surface else None
-    if keep_surface:
-        levels[0] = v
-    oscillation = False
-    for n in range(1, disc.n_time + 1):
-        new_interior = lower * v[:-2] + center * v[1:-1] + upper * v[2:]
-        neighborhood = np.maximum(np.maximum(v[:-2], v[1:-1]), v[2:])
-        if float((new_interior - neighborhood).max()) > OSCILLATION_TOLERANCE:
-            oscillation = True
-        out = np.empty_like(v)
-        out[1:-1] = new_interior
-        if is_call:
-            out[0] = 0.0
-            out[-1] = s_max - strike * discounts[n - 1]
-        else:
-            out[0] = strike * discounts[n - 1]
-            out[-1] = 0.0
-        v = out
-        if keep_surface:
-            levels[n] = v
     price = float(np.interp(contract.spot, s, v))
     elapsed = time.perf_counter() - t_start
 

@@ -1,4 +1,5 @@
-"""Domain types, payoffs, boundary data, and grid construction shared by every solver."""
+"""Domain types, payoffs, grid construction, and the finite-difference march
+shared by every grid solver."""
 
 from __future__ import annotations
 
@@ -7,26 +8,28 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
+from scipy.linalg.lapack import dgttrf, dgttrs
 
-from .errors import ValidationError
+from .errors import SingularSystemError, ValidationError
 
 __all__ = [
     "AlphaProfile",
     "Discretization",
-    "Edge",
     "MarketParams",
     "Method",
     "OptionContract",
     "OptionKind",
     "PriceSurface",
     "PricingResult",
-    "boundary_value",
     "build_grid",
     "payoff",
 ]
 
-# relative slack for floating-point tau/grid consistency checks
+# relative slack for floating-point grid consistency checks
 _REL_TOL = 1e-9
+
+# single-step excess over the neighborhood maximum that counts as oscillation
+OSCILLATION_TOLERANCE = 1e-9
 
 
 class OptionKind(enum.Enum):
@@ -39,11 +42,6 @@ class AlphaProfile(enum.Enum):
 
     CONSTANT = "constant"        # alpha(S) = sigma
     PROPORTIONAL = "proportional"  # alpha(S) = sigma * S
-
-
-class Edge(enum.Enum):
-    LOWER = "lower"
-    UPPER = "upper"
 
 
 class Method(enum.Enum):
@@ -78,12 +76,6 @@ class MarketParams:
             raise ValidationError(f"sigma must be finite and > 0, got {self.sigma}")
         if not isinstance(self.alpha_profile, AlphaProfile):
             raise ValidationError(f"unknown alpha profile: {self.alpha_profile!r}")
-
-    def alpha(self, s: float) -> float:
-        """Evaluate alpha(S) at a single price level."""
-        if self.alpha_profile is AlphaProfile.PROPORTIONAL:
-            return self.sigma * s
-        return self.sigma
 
     def alpha_values(self, s: np.ndarray) -> np.ndarray:
         """Vectorized alpha(S) over an array of price levels."""
@@ -202,36 +194,105 @@ def payoff(contract: OptionContract, s):
     return out
 
 
-def boundary_value(
+def _operator(
+    market: MarketParams,
+    s_interior: np.ndarray,
+    thetas: np.ndarray,
+    ds: float,
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Bands (lower, center, upper) of the Black-Scholes spatial operator L.
+
+    At each interior node, L v = d (v+ - 2 v + v-) + c (v+ - v-) - r v with
+    diffusion d = sigma^2 S^2 / (2 ds^2) and convection c = r S theta / (2 ds):
+    the central flux difference of the convection term, scaled by the
+    per-node fitting factor ``thetas`` (ones give the classical stencil).
+    """
+    diffusion = 0.5 * market.sigma**2 * s_interior**2 / ds**2
+    convection = market.r * s_interior * thetas / (2.0 * ds)
+    return diffusion - convection, -2.0 * diffusion - market.r, diffusion + convection
+
+
+def _boundaries(
     contract: OptionContract,
     market: MarketParams,
-    edge: Edge,
-    tau: float,
-    *,
-    s_max: float | None = None,
-) -> float:
-    """Dirichlet boundary value at backward time ``tau`` = T - t.
+    disc: Discretization,
+) -> tuple[np.ndarray, np.ndarray]:
+    """Dirichlet values at S = 0 and S = s_max for tau = dt, 2 dt, ..., T.
 
-    Calls are worthless at S=0 and asymptotically linear at the upper
-    truncation boundary; puts mirror this. The upper call value needs the
-    truncation level ``s_max``.
+    Calls are worthless at S = 0 and worth ``s_max - K exp(-r tau)`` at the
+    truncation; puts mirror this. Entry ``n - 1`` belongs to level ``n``.
     """
-    if not 0.0 <= tau <= contract.maturity * (1.0 + _REL_TOL):
-        raise ValidationError(
-            f"tau must lie in [0, maturity], got {tau} with T={contract.maturity}"
-        )
-    if not isinstance(edge, Edge):
-        raise ValidationError(f"unknown edge: {edge!r}")
-    discounted_strike = contract.strike * math.exp(-market.r * tau)
+    discounts = np.exp(-market.r * np.arange(1, disc.n_time + 1) * disc.dt)
+    discounted_strike = contract.strike * discounts
+    zeros = np.zeros_like(discounts)
     if contract.kind is OptionKind.CALL:
-        if edge is Edge.LOWER:
-            return 0.0
-        if s_max is None:
-            raise ValidationError("upper call boundary requires s_max")
-        return s_max - discounted_strike
-    if edge is Edge.LOWER:
-        return discounted_strike
-    return 0.0
+        return zeros, disc.s_max - discounted_strike
+    return discounted_strike, zeros
+
+
+def _march(
+    level: np.ndarray,
+    bands: tuple[np.ndarray, np.ndarray, np.ndarray],
+    boundaries: tuple[np.ndarray, np.ndarray],
+    dt: float,
+    time_weight: float,
+    *,
+    keep_surface: bool,
+) -> tuple[np.ndarray, np.ndarray | None, bool]:
+    """March (I - w dt L) v_n = (I + (1 - w) dt L) v_{n-1} from ``level``.
+
+    ``bands`` are the operator bands from :func:`_operator`, ``boundaries``
+    the Dirichlet values from :func:`_boundaries` (one entry per step), and
+    ``w`` is the time weight: 0 is the explicit step, 1/2 is Crank-Nicolson.
+    The implicit matrix is the same at every step, so it is factored once.
+
+    Returns the last level, the surface of all levels (``None`` unless
+    ``keep_surface``) and the oscillation flag. The flag is the explicit
+    step's maximum-principle check, set when an interior node exceeds the
+    maximum of its previous-level neighborhood by more than
+    ``OSCILLATION_TOLERANCE``. An implicit step is not a weighted average of
+    that neighborhood, so it skips the check and the flag reads False.
+    """
+    lower, center, upper = bands
+    bc_lower, bc_upper = boundaries
+    explicit_dt = (1.0 - time_weight) * dt
+    e_lower = explicit_dt * lower
+    e_center = 1.0 + explicit_dt * center
+    e_upper = explicit_dt * upper
+    implicit = time_weight > 0.0
+    if implicit:
+        implicit_dt = time_weight * dt
+        i_lower = implicit_dt * lower
+        i_upper = implicit_dt * upper
+        *factors, info = dgttrf(
+            -i_lower[1:], 1.0 - implicit_dt * center, -i_upper[:-1]
+        )
+        if info != 0:
+            raise SingularSystemError(
+                f"implicit matrix is singular (LAPACK dgttrf info={info})"
+            )
+    v = level
+    levels = np.empty((bc_lower.size + 1, v.size)) if keep_surface else None
+    if keep_surface:
+        levels[0] = v
+    oscillation = False
+    for n in range(bc_lower.size):
+        interior = e_lower * v[:-2] + e_center * v[1:-1] + e_upper * v[2:]
+        if implicit:
+            interior[0] += i_lower[0] * bc_lower[n]
+            interior[-1] += i_upper[-1] * bc_upper[n]
+            interior, _ = dgttrs(*factors, interior)
+        else:
+            neighborhood = np.maximum(np.maximum(v[:-2], v[1:-1]), v[2:])
+            if float((interior - neighborhood).max()) > OSCILLATION_TOLERANCE:
+                oscillation = True
+        out = np.empty_like(v)
+        out[0], out[-1] = bc_lower[n], bc_upper[n]
+        out[1:-1] = interior
+        v = out
+        if keep_surface:
+            levels[n + 1] = v
+    return v, levels, oscillation
 
 
 def build_grid(

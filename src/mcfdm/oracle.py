@@ -9,7 +9,6 @@ from __future__ import annotations
 
 import enum
 import math
-from dataclasses import dataclass
 
 import numpy as np
 from scipy.integrate import quad
@@ -19,7 +18,6 @@ from .model import MarketParams, OptionContract, OptionKind
 
 __all__ = [
     "CdfMethod",
-    "OracleConfig",
     "black_scholes_price",
     "risk_neutral_integral_price",
     "std_normal_cdf",
@@ -39,20 +37,6 @@ _Z_CUTOFF = 40.0
 class CdfMethod(enum.Enum):
     ERF_BASED = "erf"
     RATIONAL_APPROX = "rational"
-
-
-@dataclass(frozen=True, slots=True)
-class OracleConfig:
-    cdf_method: CdfMethod = CdfMethod.ERF_BASED
-    quadrature_tolerance: float = 1e-10
-
-    def __post_init__(self) -> None:
-        if not isinstance(self.cdf_method, CdfMethod):
-            raise ValidationError(f"unknown cdf method: {self.cdf_method!r}")
-        if not self.quadrature_tolerance > 0.0:
-            raise ValidationError(
-                f"quadrature_tolerance must be > 0, got {self.quadrature_tolerance}"
-            )
 
 
 def std_normal_cdf(x: float, method: CdfMethod = CdfMethod.ERF_BASED) -> float:

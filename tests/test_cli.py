@@ -1,9 +1,14 @@
 import csv
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import mcfdm
 from mcfdm import (
     MarketParams,
     OptionContract,
@@ -425,3 +430,19 @@ class TestMain:
         payload = json.loads(capsys.readouterr().out)
         assert len(payload["rows"]) == 3
         assert all(r["elapsed_seconds"] > 0 for r in payload["rows"])
+
+    def test_module_run_prints_no_runtime_warning(self):
+        # importing the package must not import mcfdm.cli, or running the
+        # module warns that it was already in sys.modules
+        src = str(Path(mcfdm.__file__).resolve().parents[1])
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(
+            p for p in (src, env.get("PYTHONPATH")) if p
+        )
+        proc = subprocess.run(
+            [sys.executable, "-m", "mcfdm.cli", "--version"],
+            capture_output=True, text=True, env=env, timeout=60,
+        )
+        assert proc.returncode == 0
+        assert proc.stdout.strip() == f"mcfdm {mcfdm.__version__}"
+        assert "RuntimeWarning" not in proc.stderr

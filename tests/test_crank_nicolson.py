@@ -11,16 +11,15 @@ from mcfdm import (
     OptionKind,
     SingularSystemError,
     ThetaConfig,
-    TridiagonalSystem,
-    ValidationError,
     black_scholes_price,
     build_grid,
     crank_nicolson_surface,
     max_stable_dt,
     payoff,
     solve_crank_nicolson,
-    thomas_solve,
+    solve_mcfdm,
 )
+from mcfdm.model import _march
 
 CALL = OptionKind.CALL
 PUT = OptionKind.PUT
@@ -37,100 +36,96 @@ def contract(kind=CALL, strike=7.5, maturity=1.0, spot=7.0):
     return OptionContract(kind=kind, strike=strike, maturity=maturity, spot=spot)
 
 
-def dense_matrix(system: TridiagonalSystem) -> np.ndarray:
-    n = system.size
-    a = np.diag(system.diag)
-    a += np.diag(system.lower, -1)
-    a += np.diag(system.upper, 1)
-    return a
+def implicit_step(level, bands, dt, boundaries=(0.0, 0.0)):
+    """One Crank-Nicolson step (time weight 1/2) of the shared march."""
+    out, _, _ = _march(
+        np.asarray(level, dtype=float),
+        tuple(np.asarray(band, dtype=float) for band in bands),
+        (np.array([boundaries[0]]), np.array([boundaries[1]])),
+        dt,
+        0.5,
+        keep_surface=False,
+    )
+    return out
 
 
-class TestTridiagonalSystem:
-    def test_band_lengths_validated(self):
-        with pytest.raises(ValidationError):
-            TridiagonalSystem(
-                lower=[1.0], diag=[2.0, 2.0, 2.0], upper=[1.0, 1.0], rhs=[0.0] * 3
-            )
+def trapezoidal_residual(old, new, bands, dt):
+    """Interior residual of (I - dt/2 L) new = (I + dt/2 L) old."""
+    lower, center, upper = bands
 
-    def test_rhs_length_validated(self):
-        with pytest.raises(ValidationError):
-            TridiagonalSystem(
-                lower=[1.0, 1.0], diag=[2.0, 2.0, 2.0], upper=[1.0, 1.0], rhs=[0.0]
-            )
+    def apply(v):
+        return lower * v[:-2] + center * v[1:-1] + upper * v[2:]
 
-    def test_arrays_coerced_to_float(self):
-        system = TridiagonalSystem(
-            lower=[1, 1], diag=[2, 2, 2], upper=[1, 1], rhs=[1, 0, 1]
-        )
-        assert system.diag.dtype == np.float64
+    return (new[1:-1] - 0.5 * dt * apply(new)) - (old[1:-1] + 0.5 * dt * apply(old))
 
 
 class TestThomasSolve:
+    """The tridiagonal solve of the march's implicit half.
+
+    With dt = 2 the implicit matrix is I - L, so bands of L spell out the
+    matrix that LAPACK factors.
+    """
+
     def test_identity_returns_rhs(self):
-        b = np.array([3.0, -1.0, 2.5, 0.0])
-        system = TridiagonalSystem(
-            lower=np.zeros(3), diag=np.ones(4), upper=np.zeros(3), rhs=b
-        )
-        np.testing.assert_allclose(thomas_solve(system), b, atol=1e-15)
+        level = np.array([0.0, 3.0, -1.0, 2.5, 0.0, 0.0])
+        zero = np.zeros(4)
+        out = implicit_step(level, (zero, zero, zero), dt=0.1)
+        np.testing.assert_allclose(out, level, atol=1e-15)
 
     def test_hand_eliminated_three_by_three(self):
-        system = TridiagonalSystem(
-            lower=[-1.0, -1.0], diag=[2.0, 2.0, 2.0], upper=[-1.0, -1.0],
-            rhs=[1.0, 0.0, 1.0],
-        )
-        np.testing.assert_allclose(thomas_solve(system), [1.0, 1.0, 1.0], atol=1e-12)
+        # bands (1, -1, 1) give I - L = [[2,-1,0],[-1,2,-1],[0,-1,2]] and, from
+        # the level (0,0,1,0,0), the right-hand side (I + L) v = (1, 0, 1)
+        ones = np.ones(3)
+        out = implicit_step([0.0, 0.0, 1.0, 0.0, 0.0], (ones, -ones, ones), dt=2.0)
+        np.testing.assert_allclose(out, [0.0, 1.0, 1.0, 1.0, 0.0], atol=1e-12)
 
     def test_random_diagonally_dominant_residual(self):
         rng = np.random.default_rng(7)
         n = 50
-        lower = rng.uniform(-1.0, 1.0, n - 1)
-        upper = rng.uniform(-1.0, 1.0, n - 1)
-        diag = 3.0 + rng.uniform(0.0, 1.0, n)
-        rhs = rng.uniform(-5.0, 5.0, n)
-        system = TridiagonalSystem(lower=lower, diag=diag, upper=upper, rhs=rhs)
-        x = thomas_solve(system)
-        residual = np.abs(dense_matrix(system) @ x - rhs).max()
-        assert residual <= 1e-10 * (1.0 + np.abs(rhs).max())
+        bands = (
+            rng.uniform(-1.0, 1.0, n),
+            -3.0 - rng.uniform(0.0, 1.0, n),
+            rng.uniform(-1.0, 1.0, n),
+        )
+        old = rng.uniform(-5.0, 5.0, n + 2)
+        new = implicit_step(old, bands, dt=2.0, boundaries=(1.5, -0.5))
+        assert (new[0], new[-1]) == (1.5, -0.5)
+        residual = np.abs(trapezoidal_residual(old, new, bands, 2.0)).max()
+        assert residual <= 1e-10 * (1.0 + np.abs(old).max())
 
     def test_singular_pivot_raises(self):
-        system = TridiagonalSystem(
-            lower=[1.0], diag=[0.0, 1.0], upper=[1.0], rhs=[1.0, 1.0]
-        )
+        # I - L = [[0, 0, 0], [1, 1, 0], [0, 0, 1]]: the first column is zero
+        bands = ([0.0, -1.0, 0.0], [1.0, 0.0, 0.0], [0.0, 0.0, 0.0])
         with pytest.raises(SingularSystemError):
-            thomas_solve(system)
+            implicit_step(np.zeros(5), bands, dt=2.0)
 
     def test_elimination_created_zero_pivot_raises(self):
-        # second pivot becomes 2 - 2*2/2 = 0 mid-sweep
-        system = TridiagonalSystem(
-            lower=[2.0], diag=[2.0, 2.0], upper=[2.0], rhs=[1.0, 1.0]
-        )
+        # I - L = [[2, 2, 0], [2, 2, 0], [0, 0, 1]]: the second pivot becomes
+        # 2 - 2*2/2 = 0
+        bands = ([0.0, -2.0, 0.0], [-1.0, -1.0, 0.0], [-2.0, 0.0, 0.0])
         with pytest.raises(SingularSystemError):
-            thomas_solve(system)
+            implicit_step(np.zeros(5), bands, dt=2.0)
 
     def test_all_zero_matrix_raises(self):
-        system = TridiagonalSystem(
-            lower=[0.0], diag=[0.0, 0.0], upper=[0.0], rhs=[1.0, 1.0]
-        )
+        zero, one = np.zeros(3), np.ones(3)
         with pytest.raises(SingularSystemError):
-            thomas_solve(system)
+            implicit_step(np.zeros(5), (zero, one, zero), dt=2.0)
 
-    @given(data=st.data(), n=st.integers(2, 30))
+    # the march always has at least three interior nodes (n_space >= 4)
+    @given(data=st.data(), n=st.integers(3, 30))
     @settings(max_examples=60)
     def test_multiply_round_trip(self, data, n):
         floats = st.floats(-1.0, 1.0)
-        lower = np.array(data.draw(st.lists(floats, min_size=n - 1, max_size=n - 1)))
-        upper = np.array(data.draw(st.lists(floats, min_size=n - 1, max_size=n - 1)))
-        bulk = np.array(data.draw(st.lists(floats, min_size=n, max_size=n)))
-        diag = 2.5 + bulk
-        x_true = np.array(data.draw(st.lists(floats, min_size=n, max_size=n)))
-        system = TridiagonalSystem(
-            lower=lower, diag=diag, upper=upper,
-            rhs=dense_matrix(
-                TridiagonalSystem(lower=lower, diag=diag, upper=upper, rhs=np.zeros(n))
-            ) @ x_true,
+        lower, bulk, upper = (
+            np.array(data.draw(st.lists(floats, min_size=n, max_size=n)))
+            for _ in range(3)
         )
-        x = thomas_solve(system)
-        np.testing.assert_allclose(x, x_true, atol=1e-9, rtol=1e-9)
+        bands = (lower, -3.0 - bulk, upper)
+        old = np.array(data.draw(st.lists(floats, min_size=n + 2, max_size=n + 2)))
+        new = implicit_step(old, bands, dt=2.0, boundaries=(0.25, -0.75))
+        np.testing.assert_allclose(
+            trapezoidal_residual(old, new, bands, 2.0), 0.0, atol=1e-9
+        )
 
 
 class TestSolveCrankNicolson:
@@ -220,3 +215,23 @@ class TestSolveCrankNicolson:
         assert result.elapsed_seconds >= 0.0
         exact = black_scholes_price(c, market())
         assert result.abs_error == pytest.approx(abs(result.price - exact), abs=1e-15)
+        # the oscillation scan is the explicit step's check only
+        assert "oscillation" not in result.extra
+
+    @given(
+        kind=st.sampled_from([CALL, PUT]),
+        spot=st.floats(5.0, 8.0),
+        strike=st.floats(5.0, 8.0),
+        maturity=st.floats(0.25, 1.0),
+        r=st.floats(0.0, 0.1),
+    )
+    @settings(max_examples=40, deadline=None)
+    def test_agrees_with_unit_theta_mcfdm(self, kind, spot, strike, maturity, r):
+        # both are the shared march on the central stencil; they differ only
+        # in the time weight, so their gap is the time discretization error
+        c = contract(kind=kind, strike=strike, maturity=maturity, spot=spot)
+        m = MarketParams(r=r, sigma=0.25)
+        disc = build_grid(c)
+        explicit = solve_mcfdm(c, m, disc).result.price
+        trapezoidal = solve_crank_nicolson(c, m, disc).price
+        assert abs(explicit - trapezoidal) <= 1e-3

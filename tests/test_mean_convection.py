@@ -16,13 +16,13 @@ from mcfdm import (
     ValidationError,
     black_scholes_price,
     build_grid,
-    convection_flux_difference,
-    explicit_step,
     max_stable_dt,
     payoff,
     solve_mcfdm,
     theta_at,
 )
+from mcfdm.mean_convection import _theta_values
+from mcfdm.model import _march, _operator
 
 CALL = OptionKind.CALL
 PUT = OptionKind.PUT
@@ -116,19 +116,52 @@ class TestThetaAt:
 
 
 class TestConvectionFluxDifference:
+    """The fitted convection term inside the operator bands.
+
+    On the value triple (v-, v, v+) the bands give
+    d (v+ - 2v + v-) + c theta (v+ - v-) - r v, so the convection flux
+    difference is the antisymmetric part (upper - lower) / 2 of the bands.
+    """
+
+    s = np.arange(1.0, 10.0)
+
+    def bands(self, theta):
+        return _operator(market(), self.s, np.full(9, theta), 1.0)
+
     def test_constant_field_is_zero(self):
-        assert convection_flux_difference((1.0, 1.0, 1.0), 1.0) == 0.0
+        # a constant field sees only the reaction term, whatever theta is
+        for theta in (0.0, 1.0, 2.5):
+            lower, center, upper = self.bands(theta)
+            np.testing.assert_allclose(lower + center + upper, -0.05, atol=1e-12)
 
     def test_linear_field(self):
-        assert convection_flux_difference((0.0, 1.0, 2.0), 1.0) == 1.0
+        # v = S: no curvature, and the central flux difference is r S theta,
+        # which cancels the reaction -r S at theta = 1
+        lower, center, upper = self.bands(1.0)
+        v = np.arange(11.0)
+        applied = lower * v[:-2] + center * v[1:-1] + upper * v[2:]
+        np.testing.assert_allclose(applied, 0.0, atol=1e-12)
 
     def test_linear_in_theta(self):
-        assert convection_flux_difference((0.0, 1.0, 2.0), 2.5) == 2.5
+        lower, _, upper = self.bands(1.0)
+        lower_k, _, upper_k = self.bands(2.5)
+        np.testing.assert_allclose(upper_k - lower_k, 2.5 * (upper - lower), rtol=1e-14)
+        np.testing.assert_allclose(upper - lower, 0.05 * self.s, rtol=1e-14)
 
 
 class TestExplicitStep:
-    def toy_disc(self, dt=0.01):
-        return Discretization(s_max=10.0, n_space=10, n_time=100, ds=1.0, dt=dt)
+    """One explicit step (time weight 0) of the march both engines share."""
+
+    def toy_disc(self, dt=0.01, n_time=100):
+        return Discretization(s_max=10.0, n_space=10, n_time=n_time, ds=1.0, dt=dt)
+
+    def step(self, level, dt=0.01):
+        s = np.arange(11.0)
+        thetas = _theta_values(market(), s[1:-1], 1.0, ThetaConfig())
+        bands = _operator(market(), s[1:-1], thetas, 1.0)
+        boundaries = (np.array([level[0]]), np.array([level[-1]]))
+        out, _, _ = _march(level, bands, boundaries, dt, 0.0, keep_surface=False)
+        return out
 
     def test_hand_computed_stencil(self):
         # v=(0, 0.5, 1.5) at S=(4,5,6), sigma=0.25, r=0.05, ds=1, dt=0.01,
@@ -137,31 +170,28 @@ class TestExplicitStep:
         #   convection 0.05*5*(1.5-0)/2          = 0.1875
         #   reaction  -0.05*0.5                  = -0.025
         #   update 0.5 + 0.01*0.553125           = 0.50553125
-        disc = self.toy_disc()
         level = np.zeros(11)
         level[4], level[5], level[6] = 0.0, 0.5, 1.5
-        out = explicit_step(level, contract(), market(), disc, ThetaConfig(), tau_next=0.01)
+        out = self.step(level)
         assert out[5] == pytest.approx(0.50553125, abs=1e-15)
 
     def test_tiny_step_leaves_interior_unchanged(self):
-        disc = self.toy_disc(dt=1e-300)
-        level = payoff(contract(), disc.nodes())
-        out = explicit_step(level, contract(), market(), disc, ThetaConfig(), tau_next=1e-300)
+        level = payoff(contract(), np.arange(11.0))
+        out = self.step(level, dt=1e-300)
         np.testing.assert_allclose(out[1:-1], level[1:-1], atol=1e-12)
 
     def test_boundaries_overwritten_at_new_tau(self):
-        disc = self.toy_disc()
-        level = payoff(contract(), disc.nodes())
+        # level n of the production surface carries the Dirichlet values at
+        # tau = n*dt
         tau = 0.37
-        out = explicit_step(level, contract(), market(), disc, ThetaConfig(), tau_next=tau)
-        assert out[0] == 0.0
-        assert out[-1] == pytest.approx(10.0 - 5.5 * math.exp(-0.05 * tau), abs=1e-12)
-
-    def test_wrong_level_length_rejected(self):
-        with pytest.raises(ValidationError):
-            explicit_step(
-                np.zeros(5), contract(), market(), self.toy_disc(), ThetaConfig(),
-                tau_next=0.01,
+        disc = self.toy_disc(n_time=37)
+        c = contract(maturity=tau)
+        report = solve_mcfdm(c, market(), disc, keep_surface=True)
+        for n in (1, 37):
+            out = report.surface.level(n)
+            assert out[0] == 0.0
+            assert out[-1] == pytest.approx(
+                10.0 - 5.5 * math.exp(-0.05 * n * 0.01), abs=1e-12
             )
 
     @given(
@@ -172,10 +202,9 @@ class TestExplicitStep:
     def test_linear_field_consistency(self, a, b):
         # a linear field has zero second difference, so the stencil reduces
         # to dt*(r*S*a - r*(a*S+b)) at every interior node
-        disc = self.toy_disc()
-        s = disc.nodes()
+        s = np.arange(11.0)
         level = a * s + b
-        out = explicit_step(level, contract(), market(), disc, ThetaConfig(), tau_next=0.01)
+        out = self.step(level)
         expected = level[1:-1] + 0.01 * (
             0.05 * s[1:-1] * a - 0.05 * (a * s[1:-1] + b)
         )

@@ -8,18 +8,16 @@ from hypothesis import strategies as st
 from mcfdm import (
     AlphaProfile,
     Discretization,
-    Edge,
     MarketParams,
     OptionContract,
     OptionKind,
     PriceSurface,
     PricingResult,
     ValidationError,
-    boundary_value,
     build_grid,
     payoff,
 )
-from mcfdm.model import Method
+from mcfdm.model import Method, _boundaries
 
 CALL = OptionKind.CALL
 PUT = OptionKind.PUT
@@ -33,13 +31,12 @@ class TestMarketParams:
     def test_defaults_to_constant_profile(self):
         m = MarketParams(r=0.05, sigma=0.25)
         assert m.alpha_profile is AlphaProfile.CONSTANT
-        assert m.alpha(3.7) == 0.25
+        np.testing.assert_array_equal(m.alpha_values(np.array([3.7])), [0.25])
 
     def test_proportional_profile(self):
         m = MarketParams(r=0.05, sigma=0.25, alpha_profile=AlphaProfile.PROPORTIONAL)
-        assert m.alpha(4.0) == pytest.approx(1.0, abs=1e-15)
-        values = m.alpha_values(np.array([1.0, 2.0]))
-        np.testing.assert_allclose(values, [0.25, 0.5], atol=1e-15)
+        values = m.alpha_values(np.array([1.0, 2.0, 4.0]))
+        np.testing.assert_allclose(values, [0.25, 0.5, 1.0], atol=1e-15)
 
     def test_zero_rate_allowed(self):
         assert MarketParams(r=0.0, sigma=0.1).r == 0.0
@@ -98,38 +95,37 @@ class TestPayoff:
 
 
 class TestBoundaryValue:
+    """Dirichlet boundary vectors, one entry per level tau = dt, ..., T."""
+
     def test_put_lower_at_expiry_is_strike(self):
-        contract = OptionContract(kind=PUT, strike=5.0, maturity=1.0, spot=5.0)
+        contract = OptionContract(kind=PUT, strike=5.0, maturity=1e-15, spot=5.0)
         market = MarketParams(r=0.05, sigma=0.25)
-        assert boundary_value(contract, market, Edge.LOWER, 0.0) == 5.0
+        lower, _ = _boundaries(contract, market, build_grid(contract, n_time=1))
+        assert lower[0] == pytest.approx(5.0, abs=1e-12)
 
     def test_call_upper_discounts_strike(self):
         # 20 - 5.5*exp(-0.05), independently evaluated
         contract = make_contract(CALL)
         market = MarketParams(r=0.05, sigma=0.25)
-        value = boundary_value(contract, market, Edge.UPPER, 1.0, s_max=20.0)
-        assert value == pytest.approx(14.768238165246073, abs=1e-12)
+        disc = build_grid(contract, n_space=100, n_time=4, s_max=20.0)
+        _, upper = _boundaries(contract, market, disc)
+        assert upper.shape == (4,)
+        assert upper[-1] == pytest.approx(14.768238165246073, abs=1e-12)
+        expected = 20.0 - 5.5 * np.exp(-0.05 * np.array([0.25, 0.5, 0.75, 1.0]))
+        np.testing.assert_allclose(upper, expected, atol=1e-12)
 
     def test_call_lower_is_zero_for_any_tau(self):
         contract = make_contract(CALL)
         market = MarketParams(r=0.05, sigma=0.25)
-        for tau in (0.0, 0.3, 1.0):
-            assert boundary_value(contract, market, Edge.LOWER, tau) == 0.0
+        lower, _ = _boundaries(contract, market, build_grid(contract, n_time=10))
+        np.testing.assert_array_equal(lower, np.zeros(10))
 
     def test_put_upper_is_zero(self):
-        contract = make_contract(PUT)
+        contract = make_contract(PUT, maturity=0.5)
         market = MarketParams(r=0.1, sigma=0.25)
-        assert boundary_value(contract, market, Edge.UPPER, 0.5, s_max=20.0) == 0.0
-
-    def test_call_upper_requires_s_max(self):
-        with pytest.raises(ValidationError):
-            boundary_value(make_contract(CALL), MarketParams(r=0.05, sigma=0.25), Edge.UPPER, 0.5)
-
-    def test_tau_outside_maturity_rejected(self):
-        market = MarketParams(r=0.05, sigma=0.25)
-        for tau in (-0.1, 1.5):
-            with pytest.raises(ValidationError):
-                boundary_value(make_contract(), market, Edge.LOWER, tau)
+        disc = build_grid(contract, n_time=10, s_max=20.0)
+        _, upper = _boundaries(contract, market, disc)
+        np.testing.assert_array_equal(upper, np.zeros(10))
 
     @given(
         kind=st.sampled_from([CALL, PUT]),
@@ -137,13 +133,14 @@ class TestBoundaryValue:
         r=st.floats(0.0, 0.2),
     )
     def test_tau_zero_matches_payoff_at_edges(self, kind, strike, r):
-        contract = OptionContract(kind=kind, strike=strike, maturity=1.0, spot=strike)
+        contract = OptionContract(kind=kind, strike=strike, maturity=1e-15, spot=strike)
         market = MarketParams(r=r, sigma=0.25)
-        s_max = 4.0 * strike
-        lower = boundary_value(contract, market, Edge.LOWER, 0.0)
-        upper = boundary_value(contract, market, Edge.UPPER, 0.0, s_max=s_max)
-        assert lower == pytest.approx(payoff(contract, 0.0), abs=1e-12)
-        assert upper == pytest.approx(payoff(contract, s_max), abs=1e-9 * s_max)
+        disc = build_grid(contract, n_time=1, s_max=4.0 * strike)
+        lower, upper = _boundaries(contract, market, disc)
+        assert lower[0] == pytest.approx(payoff(contract, 0.0), abs=1e-12)
+        assert upper[0] == pytest.approx(
+            payoff(contract, disc.s_max), abs=1e-9 * disc.s_max
+        )
 
 
 class TestBuildGrid:

@@ -9,7 +9,6 @@ from mcfdm import (
     MarketParams,
     OptionContract,
     OptionKind,
-    OracleConfig,
     QuadratureError,
     ValidationError,
     black_scholes_price,
@@ -161,14 +160,3 @@ class TestRiskNeutralIntegralPrice:
     def test_tolerance_validated(self):
         with pytest.raises(ValidationError):
             risk_neutral_integral_price(contract(), market(), tolerance=0.0)
-
-
-class TestOracleConfig:
-    def test_defaults(self):
-        config = OracleConfig()
-        assert config.cdf_method is CdfMethod.ERF_BASED
-        assert config.quadrature_tolerance == 1e-10
-
-    def test_tolerance_must_be_positive(self):
-        with pytest.raises(ValidationError):
-            OracleConfig(quadrature_tolerance=-1e-9)
