@@ -38,16 +38,10 @@ from .model import (
     payoff,
 )
 from .monte_carlo import McConfig, price_monte_carlo, sample_terminal_price
-from .oracle import (
-    CdfMethod,
-    black_scholes_price,
-    risk_neutral_integral_price,
-    std_normal_cdf,
-)
+from .oracle import black_scholes_price, risk_neutral_integral_price, std_normal_cdf
 
 __all__ = [
     "AlphaProfile",
-    "CdfMethod",
     "Discretization",
     "MarketParams",
     "McConfig",

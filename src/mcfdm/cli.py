@@ -6,8 +6,8 @@ as an aligned text table, CSV, or JSON. Reports embed a provenance block
 echoing every job parameter, so a JSON report can be fed back in as a job
 fragment and re-run.
 
-Exit codes: 0 success, 1 invalid arguments, 2 solver failure in any row,
-3 stability rejection.
+Exit codes: 0 success, 1 invalid arguments, 2 solver failure (including a
+non-finite price) in any row, 3 stability rejection.
 """
 
 from __future__ import annotations
@@ -21,10 +21,12 @@ import math
 import statistics
 import sys
 import time
-from dataclasses import asdict, dataclass, field, replace
+from dataclasses import asdict, dataclass, field
 from datetime import datetime, timezone
+from functools import partial
+from itertools import product
 from pathlib import Path
-from typing import Any, Sequence
+from typing import Any, Callable, Sequence
 
 from ._version import __version__
 from .crank_nicolson import solve_crank_nicolson
@@ -32,6 +34,7 @@ from .errors import McfdmError, StabilityError, ValidationError
 from .mean_convection import ThetaConfig, solve_mcfdm
 from .model import (
     AlphaProfile,
+    Discretization,
     MarketParams,
     Method,
     OptionContract,
@@ -50,7 +53,6 @@ __all__ = [
     "jobspec_from_report",
     "main",
     "run_convergence",
-    "run_price",
     "run_table",
     "run_theta_study",
     "run_timing",
@@ -62,9 +64,10 @@ CSV_HEADER = (
     "method,maturity_years,price,abs_error,elapsed_seconds,"
     "se,theta_scale,n_space,n_time,paths,seed"
 )
+_META_COLUMNS = CSV_HEADER.split(",")[5:]
 
-_ALL_METHODS = ("MCFDM", "CFDM", "MonteCarlo", "Exact")
-_NUMERICAL_METHODS = ("MCFDM", "CFDM", "MonteCarlo")
+_ALL_METHODS = tuple(m.value for m in Method)
+_NUMERICAL_METHODS = tuple(m.value for m in Method if m is not Method.EXACT)
 _METHOD_ALIASES = {
     "mcfdm": "MCFDM",
     "cfdm": "CFDM",
@@ -203,12 +206,7 @@ class TableReport:
                     ""
                     if row.elapsed_seconds is None
                     else format(row.elapsed_seconds, ".6f"),
-                    _meta_cell(meta, "se"),
-                    _meta_cell(meta, "theta_scale"),
-                    _meta_cell(meta, "n_space"),
-                    _meta_cell(meta, "n_time"),
-                    _meta_cell(meta, "paths"),
-                    _meta_cell(meta, "seed"),
+                    *(_meta_cell(meta, key) for key in _META_COLUMNS),
                 ]
             )
         return buf.getvalue()
@@ -303,84 +301,107 @@ def _notes(meta: dict[str, Any]) -> str:
     return " ".join(parts)
 
 
-def _contract(job: JobSpec, maturity: float) -> OptionContract:
-    return OptionContract(
-        kind=OptionKind(job.kind),
-        strike=job.strike,
-        maturity=maturity,
-        spot=job.spot,
-    )
-
-
-def _market(job: JobSpec) -> MarketParams:
-    return MarketParams(
-        r=job.rate, sigma=job.vol, alpha_profile=AlphaProfile(job.alpha)
-    )
-
-
-def _theta_config(job: JobSpec, scaling: float | None = None) -> ThetaConfig:
-    return ThetaConfig(
-        scaling=job.theta_scale if scaling is None else scaling,
-        normalize=job.theta_mode == "normalized",
-    )
-
-
 def _mc_steps(job: JobSpec, *, timing: bool) -> int:
     if job.mc_steps is not None:
         return job.mc_steps
     return job.n_time if timing else 1
 
 
-def _run_method(
+def _exact(contract: OptionContract, market: MarketParams) -> PricingResult:
+    t_start = time.perf_counter()
+    price = black_scholes_price(contract, market)
+    elapsed = time.perf_counter() - t_start
+    return PricingResult(
+        method=Method.EXACT, price=price, abs_error=0.0, elapsed_seconds=elapsed
+    )
+
+
+def _mcfdm(
+    contract: OptionContract,
+    market: MarketParams,
+    disc: Discretization,
+    config: ThetaConfig,
+    allow_unstable: bool,
+) -> PricingResult:
+    return solve_mcfdm(
+        contract, market, disc, config, allow_unstable=allow_unstable
+    ).result
+
+
+@dataclass(frozen=True, slots=True)
+class _Row:
+    """One planned row: its labels, its grid, and its ready-to-call solve."""
+
+    method: str
+    maturity: float
+    disc: Discretization | None
+    solve: Callable[[], PricingResult]
+
+
+def _plan(
     job: JobSpec,
-    method: str,
-    maturity: float,
+    methods: Sequence[str],
+    maturities: Sequence[float],
     *,
-    n_space: int | None = None,
-    n_time: int | None = None,
-    theta_scale: float | None = None,
+    grids: Sequence[tuple[int, int]] | None = None,
+    scalings: Sequence[float] = (),
     timing: bool = False,
-) -> tuple[PricingResult, dict[str, Any]]:
-    """Dispatch one solve; returns the result and the row metadata."""
-    contract = _contract(job, maturity)
-    market = _market(job)
-    if method == "Exact":
-        t_start = time.perf_counter()
-        price = black_scholes_price(contract, market)
-        elapsed = time.perf_counter() - t_start
-        result = PricingResult(
-            method=Method.EXACT, price=price, abs_error=0.0, elapsed_seconds=elapsed
+) -> list[_Row]:
+    """Build every row's inputs, then one solve per row, method-major.
+
+    The market, θ and Monte Carlo configs are built once per job, the
+    contract once per maturity and the grid once per (maturity, grid), and
+    the rows share them. Building them is the validation: bad input raises
+    ``ValidationError`` here, before any row runs. The Monte Carlo config is
+    built only when Monte Carlo runs, and grids only when a grid engine runs
+    or ``grids`` is given (convergence rows report each grid's ``ds``).
+    """
+    market = MarketParams(
+        r=job.rate, sigma=job.vol, alpha_profile=AlphaProfile(job.alpha)
+    )
+    normalize = job.theta_mode == "normalized"
+    theta = ThetaConfig(scaling=job.theta_scale, normalize=normalize)
+    thetas = [ThetaConfig(scaling=k, normalize=normalize) for k in scalings]
+    contracts = {
+        maturity: OptionContract(
+            kind=OptionKind(job.kind),
+            strike=job.strike,
+            maturity=maturity,
+            spot=job.spot,
         )
-        return result, {}
-    if method == "MonteCarlo":
-        config = McConfig(
+        for maturity in maturities
+    }
+    grid_list = [tuple(g) for g in grids] if grids else [(job.n_space, job.n_time)]
+    discs = {}
+    if grids is not None or not {"MCFDM", "CFDM"}.isdisjoint(methods):
+        discs = {
+            (maturity, grid): build_grid(contract, *grid, s_max=job.s_max)
+            for maturity, contract in contracts.items()
+            for grid in grid_list
+        }
+    if "MonteCarlo" in methods:
+        mc = McConfig(
             n_paths=job.paths,
             seed=job.seed,
             n_time_steps=_mc_steps(job, timing=timing),
         )
-        result = price_monte_carlo(contract, market, config)
-        meta = dict(result.extra)
-        meta["mc_steps"] = meta.pop("n_time_steps")
-        return result, meta
-    disc = build_grid(
-        contract,
-        n_space=n_space if n_space is not None else job.n_space,
-        n_time=n_time if n_time is not None else job.n_time,
-        s_max=job.s_max,
-    )
-    if method == "MCFDM":
-        report = solve_mcfdm(
-            contract,
-            market,
-            disc,
-            _theta_config(job, theta_scale),
-            allow_unstable=job.allow_unstable,
-        )
-        return report.result, dict(report.result.extra)
-    if method == "CFDM":
-        result = solve_crank_nicolson(contract, market, disc)
-        return result, dict(result.extra)
-    raise ValidationError(f"unknown method {method!r}")
+    rows = []
+    for method, maturity, grid, config in product(
+        methods, maturities, grid_list, thetas or [theta]
+    ):
+        contract, disc = contracts[maturity], discs.get((maturity, grid))
+        if method == "Exact":
+            solve = partial(_exact, contract, market)
+        elif method == "MonteCarlo":
+            solve = partial(price_monte_carlo, contract, market, mc)
+        elif method == "CFDM":
+            solve = partial(solve_crank_nicolson, contract, market, disc)
+        else:
+            solve = partial(
+                _mcfdm, contract, market, disc, config, job.allow_unstable
+            )
+        rows.append(_Row(method, maturity, disc, solve))
+    return rows
 
 
 def _error_kind(exc: McfdmError) -> str:
@@ -391,42 +412,28 @@ def _error_kind(exc: McfdmError) -> str:
     return "solver"
 
 
-def _solve_row(
-    job: JobSpec,
-    method: str,
-    maturity: float,
-    *,
-    n_space: int | None = None,
-    n_time: int | None = None,
-    theta_scale: float | None = None,
-    timing: bool = False,
-    repeats: int | None = None,
-) -> ReportRow:
-    """Run one (method, maturity) job, capturing failures in the row."""
+def _solve_row(row: _Row, repeats: int | None = None) -> ReportRow:
+    """Run one planned row, capturing failures in the report row.
+
+    With ``repeats``, the first solve is a warm-up and the row reports the
+    median seconds of ``repeats`` further solves.
+    """
     try:
-        if repeats is None:
-            result, meta = _run_method(
-                job,
-                method,
-                maturity,
-                n_space=n_space,
-                n_time=n_time,
-                theta_scale=theta_scale,
-                timing=timing,
+        result = row.solve()
+        if not math.isfinite(result.price):
+            raise McfdmError(f"solver returned a non-finite price {result.price}")
+        elapsed = result.elapsed_seconds
+        meta = dict(result.extra)
+        if "n_time_steps" in meta:
+            meta["mc_steps"] = meta.pop("n_time_steps")
+        if repeats is not None:
+            elapsed = statistics.median(
+                row.solve().elapsed_seconds for _ in range(repeats)
             )
-            elapsed = result.elapsed_seconds
-        else:
-            # one warm-up run, then the median of the repeats
-            _run_method(job, method, maturity, timing=timing)
-            samples = []
-            for _ in range(repeats):
-                result, meta = _run_method(job, method, maturity, timing=timing)
-                samples.append(result.elapsed_seconds)
-            elapsed = statistics.median(samples)
             meta["repeats"] = repeats
         return ReportRow(
-            method=method,
-            maturity_years=maturity,
+            method=row.method,
+            maturity_years=row.maturity,
             price=result.price,
             abs_error=result.abs_error,
             elapsed_seconds=elapsed,
@@ -434,40 +441,13 @@ def _solve_row(
         )
     except McfdmError as exc:
         return ReportRow(
-            method=method,
-            maturity_years=maturity,
+            method=row.method,
+            maturity_years=row.maturity,
             price=None,
             abs_error=None,
             elapsed_seconds=None,
             error=str(exc),
             error_kind=_error_kind(exc),
-        )
-
-
-def _validate_job(
-    job: JobSpec,
-    maturities: Sequence[float] | None = None,
-    grids: Sequence[tuple[int, int]] | None = None,
-    *,
-    timing: bool = False,
-) -> None:
-    """Raise ValidationError for bad job arguments before any row runs.
-
-    Stability violations are not argument errors; they stay per-row.
-    """
-    _market(job)
-    _theta_config(job)
-    needs_grid = job.method in ("All", "MCFDM", "CFDM")
-    for maturity in maturities if maturities is not None else [job.maturity]:
-        contract = _contract(job, maturity)
-        if needs_grid:
-            for n_space, n_time in grids or [(job.n_space, job.n_time)]:
-                build_grid(contract, n_space=n_space, n_time=n_time, s_max=job.s_max)
-    if job.method in ("All", "MonteCarlo"):
-        McConfig(
-            n_paths=job.paths,
-            seed=job.seed,
-            n_time_steps=_mc_steps(job, timing=timing),
         )
 
 
@@ -490,32 +470,14 @@ def _methods_for(job: JobSpec, numerical_only: bool = False) -> list[str]:
     return [job.method]
 
 
-def run_price(job: JobSpec) -> list[PricingResult]:
-    """Price one contract; one result per selected method.
-
-    Solver errors propagate to the caller (the report path records them
-    per-row instead).
-    """
-    results = []
-    for method in _methods_for(job):
-        result, _ = _run_method(job, method, job.maturity)
-        results.append(result)
-    return results
-
-
 def run_table(maturities: Sequence[float], job: JobSpec) -> TableReport:
     """One row per (method, maturity); row failures are recorded in-row."""
     maturities = list(maturities)
     if not maturities:
         raise ValidationError("maturity list must be nonempty")
-    _validate_job(job, maturities)
     # rows run one at a time so that each row's elapsed_seconds times its
     # solve alone
-    rows = [
-        _solve_row(job, method, maturity)
-        for method in _methods_for(job)
-        for maturity in maturities
-    ]
+    rows = [_solve_row(row) for row in _plan(job, _methods_for(job), maturities)]
     return TableReport(
         provenance=_provenance(job, subcommand="table", maturities=maturities),
         rows=tuple(rows),
@@ -531,11 +493,10 @@ def run_timing(job: JobSpec, repeats: int = 5) -> TableReport:
     """
     if repeats < 3:
         raise ValidationError(f"repeats must be >= 3, got {repeats}")
-    _validate_job(job, timing=True)
-    rows = [
-        _solve_row(job, method, job.maturity, timing=True, repeats=repeats)
-        for method in _methods_for(job, numerical_only=True)
-    ]
+    plan = _plan(
+        job, _methods_for(job, numerical_only=True), [job.maturity], timing=True
+    )
+    rows = [_solve_row(row, repeats) for row in plan]
     return TableReport(
         provenance=_provenance(job, subcommand="timing", repeats=repeats),
         rows=tuple(rows),
@@ -546,18 +507,12 @@ def run_theta_study(scalings: Sequence[float], job: JobSpec) -> TableReport:
     """One MCFDM row per scaling k, sorted by k, with oscillation flags."""
     if not scalings:
         raise ValidationError("scaling list must be nonempty")
-    for k in scalings:
-        if not math.isfinite(k) or k < 0:
-            raise ValidationError(f"scalings must be >= 0, got {k}")
     # the study always runs MCFDM, whatever the base job selects
-    _validate_job(replace(job, method="MCFDM"))
     ordered = sorted(scalings)
-    rows = [
-        _solve_row(job, "MCFDM", job.maturity, theta_scale=k) for k in ordered
-    ]
+    plan = _plan(job, ["MCFDM"], [job.maturity], scalings=ordered)
     return TableReport(
         provenance=_provenance(job, subcommand="theta-study", scalings=ordered),
-        rows=tuple(rows),
+        rows=tuple(_solve_row(row) for row in plan),
     )
 
 
@@ -573,23 +528,14 @@ def run_convergence(
         raise ValidationError("grid list must be nonempty")
     if job.method == "All":
         raise ValidationError("convergence runs a single method; pick one")
-    _validate_job(job, grids=list(grids))
-    rows = []
-    for n_space, n_time in grids:
-        row = _solve_row(
-            job, job.method, job.maturity, n_space=n_space, n_time=n_time
-        )
-        if row.error is None:
-            contract = _contract(job, job.maturity)
-            disc = build_grid(
-                contract, n_space=n_space, n_time=n_time, s_max=job.s_max
-            )
-            row.metadata["ds"] = disc.ds
-        rows.append(row)
+    rows: list[ReportRow] = []
     previous: ReportRow | None = None
-    for row in rows:
+    for planned in _plan(job, [job.method], [job.maturity], grids=grids):
+        row = _solve_row(planned)
+        rows.append(row)
         if row.error is not None:
             continue
+        row.metadata["ds"] = planned.disc.ds
         if (
             previous is not None
             and previous.abs_error
@@ -766,33 +712,22 @@ def main(argv: Sequence[str] | None = None) -> int:
     except SystemExit as exc:
         return 0 if exc.code in (0, None) else 1
     try:
-        if args.command == "price":
-            job = _job_from_args(args, maturity=args.maturity)
-            report = run_table([args.maturity], job)
-        elif args.command == "table":
+        if args.command == "table":
             maturities = args.maturity or list(_DEFAULT_MATURITIES)
-            job = _job_from_args(args, maturity=maturities[0])
+        else:
+            maturities = [args.maturity]
+        job = _job_from_args(args, maturity=maturities[0])
+        if args.command in ("price", "table"):
             report = run_table(maturities, job)
         elif args.command == "timing":
-            job = _job_from_args(args, maturity=args.maturity)
             report = run_timing(job, repeats=args.repeats)
         elif args.command == "theta-study":
-            job = _job_from_args(args, maturity=args.maturity)
-            scalings = args.scaling or list(_DEFAULT_SCALINGS)
-            report = run_theta_study(scalings, job)
+            report = run_theta_study(args.scaling or list(_DEFAULT_SCALINGS), job)
         else:
-            job = _job_from_args(args, maturity=args.maturity)
-            grids = args.grid or list(_DEFAULT_GRIDS)
-            report = run_convergence(grids, job)
+            report = run_convergence(args.grid or list(_DEFAULT_GRIDS), job)
     except ValidationError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    except StabilityError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 3
-    except McfdmError as exc:
-        print(f"error: {exc} [job: {args.command} {vars(args)}]", file=sys.stderr)
-        return 2
     _emit(report, job)
     return _exit_code(report)
 

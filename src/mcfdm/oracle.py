@@ -7,17 +7,12 @@ quadrature against the lognormal terminal density.
 
 from __future__ import annotations
 
-import enum
 import math
-
-import numpy as np
-from scipy.integrate import quad
 
 from .errors import QuadratureError, ValidationError
 from .model import MarketParams, OptionContract, OptionKind
 
 __all__ = [
-    "CdfMethod",
     "black_scholes_price",
     "risk_neutral_integral_price",
     "std_normal_cdf",
@@ -26,52 +21,24 @@ __all__ = [
 _SQRT2 = math.sqrt(2.0)
 _INV_SQRT_2PI = 1.0 / math.sqrt(2.0 * math.pi)
 
-# Zelen & Severo rational approximation coefficients, |error| < 7.5e-8
-_RA_P = 0.2316419
-_RA_B = (0.319381530, -0.356563782, 1.781477937, -1.821255978, 1.330274429)
-
 # standard normal mass beyond |z| = 40 underflows double precision
 _Z_CUTOFF = 40.0
 
 
-class CdfMethod(enum.Enum):
-    ERF_BASED = "erf"
-    RATIONAL_APPROX = "rational"
-
-
-def std_normal_cdf(x: float, method: CdfMethod = CdfMethod.ERF_BASED) -> float:
+def std_normal_cdf(x: float) -> float:
     """Standard normal CDF N(x).
 
-    The default evaluation goes through the complementary error function
-    (absolute accuracy near machine precision, well below 1e-12). The
-    rational approximation is a fallback for environments without a
-    high-accuracy erf; its absolute error is below 1e-7.
+    Evaluated through the complementary error function, with absolute
+    accuracy near machine precision (well below 1e-12).
     """
     if not math.isfinite(x):
         raise ValidationError(f"x must be finite, got {x}")
-    if method is CdfMethod.ERF_BASED:
-        return 0.5 * math.erfc(-x / _SQRT2)
-    if method is CdfMethod.RATIONAL_APPROX:
-        return _rational_cdf(x)
-    raise ValidationError(f"unknown cdf method: {method!r}")
-
-
-def _rational_cdf(x: float) -> float:
-    if x < 0.0:
-        return 1.0 - _rational_cdf(-x)
-    t = 1.0 / (1.0 + _RA_P * x)
-    poly = t * (
-        _RA_B[0]
-        + t * (_RA_B[1] + t * (_RA_B[2] + t * (_RA_B[3] + t * _RA_B[4])))
-    )
-    return 1.0 - _INV_SQRT_2PI * math.exp(-0.5 * x * x) * poly
+    return 0.5 * math.erfc(-x / _SQRT2)
 
 
 def black_scholes_price(
     contract: OptionContract,
     market: MarketParams,
-    *,
-    cdf_method: CdfMethod = CdfMethod.ERF_BASED,
 ) -> float:
     """Closed-form European option price.
 
@@ -86,12 +53,8 @@ def black_scholes_price(
     d2 = d1 - vol
     df_strike = k * math.exp(-r * t)
     if contract.kind is OptionKind.CALL:
-        return s0 * std_normal_cdf(d1, cdf_method) - df_strike * std_normal_cdf(
-            d2, cdf_method
-        )
-    return df_strike * std_normal_cdf(-d2, cdf_method) - s0 * std_normal_cdf(
-        -d1, cdf_method
-    )
+        return s0 * std_normal_cdf(d1) - df_strike * std_normal_cdf(d2)
+    return df_strike * std_normal_cdf(-d2) - s0 * std_normal_cdf(-d1)
 
 
 def risk_neutral_integral_price(
@@ -106,6 +69,9 @@ def risk_neutral_integral_price(
     integrand is smooth in the standard normal variable z on one side of the
     strike. Serves as an independent check of :func:`black_scholes_price`.
     """
+    # imported here so that ``import mcfdm`` does not pay for scipy.integrate
+    from scipy.integrate import quad
+
     if not tolerance > 0.0:
         raise ValidationError(f"tolerance must be > 0, got {tolerance}")
     s0, k, t = contract.spot, contract.strike, contract.maturity

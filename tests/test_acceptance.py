@@ -38,7 +38,6 @@ from mcfdm.cli import (
     jobspec_from_report,
     main,
     run_convergence,
-    run_price,
     run_table,
     run_theta_study,
     run_timing,
@@ -231,7 +230,7 @@ def test_criterion_7_timing_comparison():
 def test_criterion_8_theta_study_pins():
     job = JobSpec(method="MCFDM", spot=7.0, strike=7.5)
     study = run_theta_study([1.0], job)
-    (plain,) = run_price(job)
+    (plain,) = run_table([job.maturity], job).rows
     assert study.rows[0].price == plain.price
 
     pinned = put(5.0, 5.5)

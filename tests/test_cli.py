@@ -29,7 +29,6 @@ from mcfdm.cli import (
     jobspec_from_report,
     main,
     run_convergence,
-    run_price,
     run_table,
     run_theta_study,
     run_timing,
@@ -90,18 +89,18 @@ class TestJobSpec:
 
 
 class TestRunPrice:
+    # ``mcfdm price`` runs a one-maturity table
     def test_all_methods_yield_four_results(self):
-        results = run_price(small_job())
-        assert [r.method.value for r in results] == [
-            "MCFDM", "CFDM", "MonteCarlo", "Exact",
-        ]
-        exact = oracle_for(small_job(), 1.0)
-        for r in results:
+        job = small_job()
+        rows = run_table([job.maturity], job).rows
+        assert [r.method for r in rows] == ["MCFDM", "CFDM", "MonteCarlo", "Exact"]
+        exact = oracle_for(job, 1.0)
+        for r in rows:
             assert r.abs_error == pytest.approx(abs(r.price - exact), abs=1e-15)
 
     def test_single_method_matches_direct_solver_call(self):
         job = small_job(method="MCFDM", spot=7.0, strike=7.5)
-        (result,) = run_price(job)
+        (row,) = run_table([job.maturity], job).rows
         contract = OptionContract(
             kind=OptionKind.CALL, strike=7.5, maturity=1.0, spot=7.0
         )
@@ -111,11 +110,12 @@ class TestRunPrice:
             build_grid(contract),
             ThetaConfig(),
         )
-        assert result.price == direct.result.price
+        assert row.price == direct.result.price
 
     def test_bad_arguments_raise_rather_than_record(self):
+        job = small_job(vol=-3.0)
         with pytest.raises(ValidationError):
-            run_price(small_job(vol=-3.0))
+            run_table([job.maturity], job)
 
 
 class TestRunTable:
@@ -228,6 +228,77 @@ class TestRunConvergence:
         report = run_convergence([(50, 200), (50, 200)], job)
         assert report.rows[0].abs_error == report.rows[1].abs_error
         assert "observed_order" not in report.rows[1].metadata
+
+
+def _fail_if_called(*args, **kwargs):
+    raise AssertionError("an engine ran before the job was validated")
+
+
+@pytest.mark.parametrize(
+    "run",
+    [
+        lambda: run_table([0.25, 1.0, -1.0], small_job()),
+        lambda: run_convergence(
+            [(50, 400), (3, 400)], small_job(method="CFDM", n_time=400)
+        ),
+        lambda: run_theta_study([0.5, 1.0], small_job(theta_scale=-1.0)),
+        lambda: run_table([1.0], small_job(method="CFDM", theta_scale=-1.0)),
+        lambda: run_table([1.0], small_job(method="MonteCarlo", paths=0)),
+    ],
+    ids=["table-last-maturity", "convergence-grid", "theta-study-base-scale",
+         "cfdm-theta-scale", "mc-paths"],
+)
+def test_bad_input_fails_before_any_row_runs(monkeypatch, run):
+    for engine in (
+        "solve_mcfdm", "solve_crank_nicolson", "price_monte_carlo",
+        "black_scholes_price",
+    ):
+        monkeypatch.setattr(f"mcfdm.cli.{engine}", _fail_if_called)
+    with pytest.raises(ValidationError):
+        run()
+
+
+@pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning")
+@pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
+class TestNonFinitePrice:
+    # past the stability bound the k = 30 march overflows to NaN
+    ARGS = [
+        "price", "--method", "mcfdm", "--theta-scale", "30", "--allow-unstable",
+        "--n-space", "400", "--n-time", "1000",
+    ]
+
+    @pytest.fixture(scope="class")
+    def report(self):
+        job = small_job(
+            method="MCFDM", theta_scale=30.0, allow_unstable=True, n_space=400
+        )
+        return run_table([1.0], job)
+
+    def test_row_records_a_solver_failure(self, report):
+        (row,) = report.rows
+        assert row.price is None and row.abs_error is None
+        assert row.error_kind == "solver"
+        assert "nan" in row.error
+        assert _exit_code(report) == 2
+
+    def test_every_renderer_prints_the_failed_row(self, report):
+        assert "ERROR[solver]: " in report.to_text()
+        data = [l for l in report.to_csv().splitlines() if not l.startswith("# ")]
+        assert list(csv.reader(data[1:]))[0][:4] == ["MCFDM", "1", "", ""]
+        (row,) = json.loads(report.to_json())["rows"]
+        assert (row["price"], row["error_kind"]) == (None, "solver")
+
+    @pytest.mark.parametrize(
+        ("fmt", "failed_row"),
+        [
+            ("table", "ERROR[solver]: "),
+            ("csv", "\nMCFDM,1,,,"),
+            ("json", '"error_kind": "solver"'),
+        ],
+    )
+    def test_cli_prints_the_report_and_exits_two(self, fmt, failed_row, capsys):
+        assert main([*self.ARGS, "--format", fmt]) == 2
+        assert failed_row in capsys.readouterr().out
 
 
 class TestReportFormats:
