@@ -26,7 +26,7 @@ from datetime import datetime, timezone
 from functools import partial
 from itertools import product
 from pathlib import Path
-from typing import Any, Callable, Sequence
+from typing import Any, Callable, Sequence, get_type_hints
 
 from ._version import __version__
 from .crank_nicolson import solve_crank_nicolson
@@ -62,9 +62,9 @@ logger = logging.getLogger(__name__)
 
 CSV_HEADER = (
     "method,maturity_years,price,abs_error,elapsed_seconds,"
-    "se,theta_scale,n_space,n_time,paths,seed"
+    "se,theta_scale,n_space,n_time,paths,seed,error,error_kind"
 )
-_META_COLUMNS = CSV_HEADER.split(",")[5:]
+_META_COLUMNS = CSV_HEADER.split(",")[5:-2]
 
 _ALL_METHODS = tuple(m.value for m in Method)
 _NUMERICAL_METHODS = tuple(m.value for m in Method if m is not Method.EXACT)
@@ -207,6 +207,8 @@ class TableReport:
                     if row.elapsed_seconds is None
                     else format(row.elapsed_seconds, ".6f"),
                     *(_meta_cell(meta, key) for key in _META_COLUMNS),
+                    row.error or "",
+                    row.error_kind or "",
                 ]
             )
         return buf.getvalue()
@@ -556,16 +558,28 @@ def run_convergence(
     )
 
 
+def _fits(value: Any, hint: Any) -> bool:
+    """Whether ``value`` fits a field annotation; an int may stand for a float."""
+    if isinstance(value, bool):
+        return hint is bool
+    return isinstance(value, hint) or (isinstance(value, int) and isinstance(0.0, hint))
+
+
 def jobspec_from_report(report: dict[str, Any]) -> JobSpec:
     """Rebuild the job from a parsed JSON report's provenance echo."""
     try:
         echo = dict(report["provenance"]["job"])
     except (KeyError, TypeError) as exc:
         raise ValidationError("report lacks a provenance.job block") from exc
-    known = {f for f in JobSpec.__dataclass_fields__}
-    unknown = set(echo) - known
+    hints = get_type_hints(JobSpec)
+    unknown = set(echo) - set(hints)
     if unknown:
         raise ValidationError(f"unknown job fields in report: {sorted(unknown)}")
+    # the report is untyped JSON, so each field is checked against its annotation
+    for name, value in echo.items():
+        if not _fits(value, hints[name]):
+            expected = getattr(hints[name], "__name__", hints[name])
+            raise ValidationError(f"job field {name} must be {expected}, got {value!r}")
     return JobSpec(**echo)
 
 

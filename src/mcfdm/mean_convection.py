@@ -2,11 +2,11 @@
 
 The spatial operator combines a central second difference for diffusion with
 a convection flux difference scaled by a per-node tuning factor theta(S).
-Theta is computed from a harmonic-style cell integral of 1/alpha(S); in the
-default normalized mode it is expressed relative to its constant-volatility
-reference so that a constant profile with scaling 1 reduces the scheme to
-the classical central stencil, and the scaling knob cleanly enhances or
-weakens the convection term.
+Theta is computed from the exact cell integral of 1/alpha(S) for each alpha
+profile; in the default normalized mode it is expressed relative to its
+constant-volatility reference, so a constant profile with scaling 1 gives
+exactly 1 and reduces the scheme to the classical central stencil, and the
+scaling knob cleanly enhances or weakens the convection term.
 """
 
 from __future__ import annotations
@@ -20,6 +20,7 @@ import numpy as np
 
 from .errors import StabilityError, ValidationError
 from .model import (
+    AlphaProfile,
     Discretization,
     MarketParams,
     Method,
@@ -51,22 +52,17 @@ class ThetaConfig:
     ``scaling`` multiplies the tuning factor (1 is neutral, larger enhances
     the convection term, smaller weakens it, 0 disables it). ``normalize``
     selects the normalized factor (default) over the literal cell-integral
-    value. ``quadrature_points`` sets the composite midpoint resolution of
-    the cell integral of 1/alpha.
+    value. The cell integral of 1/alpha is evaluated in closed form for each
+    ``AlphaProfile``, so a constant profile normalizes to exactly 1.
     """
 
     scaling: float = 1.0
-    quadrature_points: int = 64
     normalize: bool = True
 
     def __post_init__(self) -> None:
         # scaling 0 is the documented convection-off switch
         if not math.isfinite(self.scaling) or self.scaling < 0.0:
             raise ValidationError(f"scaling must be >= 0, got {self.scaling}")
-        if not isinstance(self.quadrature_points, int) or self.quadrature_points < 2:
-            raise ValidationError(
-                f"quadrature_points must be an int >= 2, got {self.quadrature_points}"
-            )
 
 
 @dataclass(frozen=True, slots=True)
@@ -87,21 +83,19 @@ def _theta_values(
     config: ThetaConfig,
 ) -> np.ndarray:
     """Tuning factor for each cell center in ``s`` (vectorized)."""
-    if float(s.min()) - 0.5 * ds <= 0.0:
+    lo = s - 0.5 * ds
+    if float(lo.min()) <= 0.0:
         raise ValidationError("theta cell must lie strictly above S=0")
-    m = config.quadrature_points
-    offsets = (np.arange(m) + 0.5) * (ds / m)
-    samples = (s[:, None] - 0.5 * ds) + offsets[None, :]
-    alpha = market.alpha_values(samples)
-    if float(alpha.min()) <= 0.0:
-        raise ValidationError("alpha(S) must be positive on the whole cell")
-    integral = (1.0 / alpha).mean(axis=1) * ds
-    literal = 0.5 / integral
-    if not config.normalize:
-        return config.scaling * literal
-    reference = market.alpha_values(s) / (2.0 * ds)
+    # cell is sigma * integral(1/alpha) over the cell, shape is alpha(s) / sigma
+    if market.alpha_profile is AlphaProfile.PROPORTIONAL:
+        cell, shape = np.log1p(ds / lo), s
+    else:
+        cell, shape = np.full_like(s, ds), 1.0
     # scaling multiplies last so k-linearity holds to the bit
-    return config.scaling * (literal / reference)
+    if not config.normalize:
+        return config.scaling * (0.5 * market.sigma / cell)
+    # literal value divided by the constant-profile reference alpha(s) / (2 ds)
+    return config.scaling * (ds / (shape * cell))
 
 
 def theta_at(

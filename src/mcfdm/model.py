@@ -77,12 +77,6 @@ class MarketParams:
         if not isinstance(self.alpha_profile, AlphaProfile):
             raise ValidationError(f"unknown alpha profile: {self.alpha_profile!r}")
 
-    def alpha_values(self, s: np.ndarray) -> np.ndarray:
-        """Vectorized alpha(S) over an array of price levels."""
-        if self.alpha_profile is AlphaProfile.PROPORTIONAL:
-            return self.sigma * s
-        return np.full_like(s, self.sigma, dtype=float)
-
 
 @dataclass(frozen=True, slots=True)
 class OptionContract:

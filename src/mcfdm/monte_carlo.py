@@ -35,7 +35,6 @@ class McConfig:
     n_paths: int = 100_000
     seed: int = 42
     n_time_steps: int = 1
-    antithetic: bool = False
 
     def __post_init__(self) -> None:
         if not isinstance(self.n_paths, int) or self.n_paths < 1:
@@ -85,11 +84,7 @@ def _block_normals(config: McConfig, block_index: int, m: int) -> np.ndarray:
         0, 1 << _UNIFORM_BITS, size=(config.n_time_steps, m), dtype=np.uint64
     )
     u = (raw.astype(np.float64) + 0.5) / float(1 << _UNIFORM_BITS)
-    z = ndtri(u)
-    if config.antithetic:
-        half = m // 2
-        z[:, 1::2] = -z[:, 0::2][:, :half]
-    return z
+    return ndtri(u)
 
 
 def _block_stats(
@@ -164,7 +159,6 @@ def price_monte_carlo(
             "paths": n,
             "seed": config.seed,
             "n_time_steps": config.n_time_steps,
-            "antithetic": config.antithetic,
             "n_workers": n_workers,
         },
     )

@@ -379,6 +379,32 @@ class TestReportFormats:
         with pytest.raises(ValidationError):
             jobspec_from_report({"rows": []})
 
+    @pytest.mark.parametrize(
+        ("name", "value"),
+        [
+            ("spot", "7"),
+            ("rate", "0.05"),
+            ("theta_scale", "1"),
+            ("vol", None),
+            ("spot", True),
+            ("mc_steps", 2.5),
+        ],
+    )
+    def test_replayed_field_of_the_wrong_type_is_rejected(self, name, value):
+        payload = json.loads(run_table([1.0], small_job(method="Exact")).to_json())
+        payload["provenance"]["job"][name] = value
+        with pytest.raises(ValidationError):
+            run_table([1.0], jobspec_from_report(payload))
+
+    def test_csv_failed_row_carries_its_error(self):
+        job = small_job(method="MCFDM", kind="put", theta_scale=80.0)
+        report = run_table([1.0], job)
+        data = [l for l in report.to_csv().splitlines() if not l.startswith("# ")]
+        (row,) = csv.DictReader(data)
+        assert row["error_kind"] == "stability"
+        assert row["error"] == report.rows[0].error
+        assert "exceeds the stable bound" in row["error"]
+
 
 class TestExitCodeMapping:
     @staticmethod

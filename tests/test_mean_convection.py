@@ -45,7 +45,6 @@ class TestThetaConfig:
     def test_defaults(self):
         config = ThetaConfig()
         assert config.scaling == 1.0
-        assert config.quadrature_points == 64
         assert config.normalize is True
 
     def test_zero_scaling_is_allowed(self):
@@ -54,8 +53,6 @@ class TestThetaConfig:
     @pytest.mark.parametrize("kwargs", [
         {"scaling": -0.5},
         {"scaling": math.nan},
-        {"quadrature_points": 1},
-        {"quadrature_points": 2.0},
     ])
     def test_invalid_config_rejected(self, kwargs):
         with pytest.raises(ValidationError):
@@ -68,26 +65,32 @@ class TestThetaAt:
         value = theta_at(market(), 5.0, 0.1, ThetaConfig(normalize=False))
         assert value == pytest.approx(0.25 / 0.2, abs=1e-12)
 
-    def test_constant_profile_exact_for_few_points(self):
-        for points in (2, 3, 64):
-            config = ThetaConfig(normalize=False, quadrature_points=points)
-            assert theta_at(market(), 3.0, 0.5, config) == pytest.approx(
-                0.25 / 1.0, abs=1e-12
-            )
-
     def test_constant_profile_normalized_is_one(self):
         for s, ds in ((5.0, 0.1), (1.0, 0.25), (14.0, 0.5)):
             assert theta_at(market(), s, ds, ThetaConfig()) == pytest.approx(
                 1.0, abs=1e-15
             )
 
+    def test_constant_profile_normalized_is_exactly_k_at_low_vol(self):
+        # 1/0.1 is inexact in binary, so summing samples of 1/alpha would
+        # leave theta 1 ulp off k; the exact cell integral must not
+        m = market(sigma=0.1)
+        disc = build_grid(contract(PUT, strike=7.5, spot=7.0), 50, 1000)
+        s = disc.nodes()[1:-1]
+        for k in (0.5, 1.0, 2.0):
+            values = _theta_values(m, s, disc.ds, ThetaConfig(scaling=k))
+            assert values.shape == s.shape
+            assert np.all(values == k)
+
     def test_proportional_profile_matches_log_antiderivative(self):
-        # integral of 1/(sigma S) over the cell is ln((s+ds/2)/(s-ds/2))/sigma
+        # integral of 1/(sigma S) over the cell is ln((s+ds/2)/(s-ds/2))/sigma;
+        # s = 0.06 is the bottom cell, where 1/S varies most across it
         m = market(profile=AlphaProfile.PROPORTIONAL)
-        expected = 0.25 / (2.0 * math.log(5.05 / 4.95))
-        value = theta_at(m, 5.0, 0.1, ThetaConfig(normalize=False))
-        assert value == pytest.approx(expected, rel=1e-6)
-        assert value == pytest.approx(6.24979, abs=1e-5)
+        config = ThetaConfig(normalize=False)
+        for s, ds in ((5.0, 0.1), (0.06, 0.1)):
+            expected = 0.25 / (2.0 * math.log((s + 0.5 * ds) / (s - 0.5 * ds)))
+            assert theta_at(m, s, ds, config) == pytest.approx(expected, rel=1e-12)
+        assert theta_at(m, 5.0, 0.1, config) == pytest.approx(6.24979, abs=1e-5)
 
     def test_proportional_normalized_near_one(self):
         m = market(profile=AlphaProfile.PROPORTIONAL)

@@ -34,7 +34,6 @@ class TestMcConfig:
         assert config.n_paths == 100_000
         assert config.seed == 42
         assert config.n_time_steps == 1
-        assert config.antithetic is False
 
     @pytest.mark.parametrize(
         "kwargs",
@@ -132,15 +131,6 @@ class TestPriceMonteCarlo:
             )
             ratios.append(coarse.extra["se"] / fine.extra["se"])
         assert abs(np.mean(ratios) - 2.0) <= 0.4
-
-    def test_antithetic_is_deterministic_and_tightens_the_estimate(self):
-        config = McConfig(n_paths=50_000, seed=9, antithetic=True)
-        first = price_monte_carlo(contract(), market(), config)
-        second = price_monte_carlo(contract(), market(), config)
-        assert first.price == second.price
-        plain = price_monte_carlo(contract(), market(), McConfig(n_paths=50_000, seed=9))
-        assert first.extra["antithetic"] is True
-        assert first.extra["se"] < plain.extra["se"]
 
     def test_multi_step_march_stays_consistent(self):
         # the exact log-Euler scheme has no time-discretization bias
