@@ -18,6 +18,7 @@ import io
 import json
 import logging
 import math
+import os
 import statistics
 import sys
 import time
@@ -27,6 +28,8 @@ from functools import partial
 from itertools import product
 from pathlib import Path
 from typing import Any, Callable, Sequence, get_type_hints
+
+import numpy as np
 
 from ._version import __version__
 from .crank_nicolson import solve_crank_nicolson
@@ -454,12 +457,23 @@ def _solve_row(row: _Row, repeats: int | None = None) -> ReportRow:
 
 
 def _provenance(job: JobSpec, **extra: Any) -> dict[str, Any]:
+    """The report's provenance block; build it after the rows have run.
+
+    ``scipy`` is the version of the scipy the engines loaded, or ``None``
+    when no engine called it: it is read from ``sys.modules``, so that
+    writing it loads nothing.
+    """
     echo = asdict(job)
     echo["mc_steps"] = _mc_steps(job, timing=extra.get("subcommand") == "timing")
+    scipy = sys.modules.get("scipy")
     block: dict[str, Any] = {
         "tool": "mcfdm",
         "version": __version__,
         "generated_at": datetime.now(timezone.utc).isoformat(timespec="seconds"),
+        "python": "{}.{}.{}".format(*sys.version_info[:3]),
+        "numpy": np.__version__,
+        "scipy": getattr(scipy, "__version__", None),
+        "cpu_count": os.cpu_count(),
         "job": echo,
     }
     block.update(extra)
@@ -472,11 +486,20 @@ def _methods_for(job: JobSpec, numerical_only: bool = False) -> list[str]:
     return [job.method]
 
 
+def _numbers(values: Sequence[float], name: str) -> list[float]:
+    """``values`` as a list, checked to be nonempty and all numbers."""
+    values = list(values)
+    if not values:
+        raise ValidationError(f"{name} list must be nonempty")
+    for value in values:
+        if not _fits(value, float):
+            raise ValidationError(f"{name} must be a number, got {value!r}")
+    return values
+
+
 def run_table(maturities: Sequence[float], job: JobSpec) -> TableReport:
     """One row per (method, maturity); row failures are recorded in-row."""
-    maturities = list(maturities)
-    if not maturities:
-        raise ValidationError("maturity list must be nonempty")
+    maturities = _numbers(maturities, "maturity")
     # rows run one at a time so that each row's elapsed_seconds times its
     # solve alone
     rows = [_solve_row(row) for row in _plan(job, _methods_for(job), maturities)]
@@ -507,14 +530,13 @@ def run_timing(job: JobSpec, repeats: int = 5) -> TableReport:
 
 def run_theta_study(scalings: Sequence[float], job: JobSpec) -> TableReport:
     """One MCFDM row per scaling k, sorted by k, with oscillation flags."""
-    if not scalings:
-        raise ValidationError("scaling list must be nonempty")
+    ordered = sorted(_numbers(scalings, "scaling"))
     # the study always runs MCFDM, whatever the base job selects
-    ordered = sorted(scalings)
     plan = _plan(job, ["MCFDM"], [job.maturity], scalings=ordered)
+    rows = tuple(_solve_row(row) for row in plan)
     return TableReport(
         provenance=_provenance(job, subcommand="theta-study", scalings=ordered),
-        rows=tuple(_solve_row(row) for row in plan),
+        rows=rows,
     )
 
 

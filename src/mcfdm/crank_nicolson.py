@@ -58,6 +58,10 @@ def solve_crank_nicolson(
 ) -> PricingResult:
     """Price the contract on the grid and report the error versus the
     closed form."""
+    # the march's LAPACK routines load before the clock starts, so a cold
+    # first call times its solve and not the import
+    import scipy.linalg.lapack  # noqa: F401
+
     t_start = time.perf_counter()
     final, _, _ = _cn_march(contract, market, disc, keep_surface=False)
     price = float(np.interp(contract.spot, disc.nodes(), final))

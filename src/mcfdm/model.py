@@ -8,7 +8,6 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.linalg.lapack import dgttrf, dgttrs
 
 from .errors import SingularSystemError, ValidationError
 
@@ -130,8 +129,7 @@ class PriceSurface:
     """Option values on the grid, one row per backward-time level.
 
     ``values[0]`` is the maturity payoff and ``values[n_time]`` the valuation
-    date. Values produced by a stable solve are nonnegative; use
-    :meth:`is_nonnegative` to verify a surface written by a diagnostic run.
+    date.
     """
 
     values: np.ndarray
@@ -143,12 +141,6 @@ class PriceSurface:
             raise ValidationError(
                 f"surface shape {self.values.shape} does not match grid {expected}"
             )
-
-    def level(self, n: int) -> np.ndarray:
-        return self.values[n]
-
-    def is_nonnegative(self, tol: float = 0.0) -> bool:
-        return bool(self.values.min() >= -tol)
 
 
 @dataclass(frozen=True, slots=True)
@@ -255,6 +247,10 @@ def _march(
     e_upper = explicit_dt * upper
     implicit = time_weight > 0.0
     if implicit:
+        # loaded here so that the explicit scheme never pays for
+        # scipy.linalg; timed callers load it before their clock starts
+        from scipy.linalg.lapack import dgttrf, dgttrs
+
         implicit_dt = time_weight * dt
         i_lower = implicit_dt * lower
         i_upper = implicit_dt * upper

@@ -2,9 +2,7 @@ import csv
 import json
 import math
 import os
-import subprocess
 import sys
-from pathlib import Path
 
 import pytest
 
@@ -258,6 +256,18 @@ def test_bad_input_fails_before_any_row_runs(monkeypatch, run):
         run()
 
 
+@pytest.mark.parametrize("run", [run_table, run_theta_study])
+@pytest.mark.parametrize(
+    "values", [["1"], [True], [1.0, "2"], [None]], ids=["str", "bool", "mixed", "none"]
+)
+def test_list_entry_that_is_not_a_number_is_rejected(monkeypatch, run, values):
+    # a replayed report's maturities or scalings are untyped JSON
+    for engine in ("solve_mcfdm", "solve_crank_nicolson", "price_monte_carlo"):
+        monkeypatch.setattr(f"mcfdm.cli.{engine}", _fail_if_called)
+    with pytest.raises(ValidationError, match="must be a number"):
+        run(values, small_job(method="Exact"))
+
+
 @pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning")
 @pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
 class TestNonFinitePrice:
@@ -370,6 +380,16 @@ class TestReportFormats:
         assert rebuilt == replace(job, mc_steps=1)
         rerun = run_table(payload["provenance"]["maturities"], rebuilt)
         assert rerun.rows[0].price == payload["rows"][0]["price"]
+
+    def test_provenance_records_the_environment(self):
+        import numpy
+        import scipy
+
+        report = run_table([1.0], small_job(method="CFDM"))
+        assert report.provenance["python"] == "{}.{}.{}".format(*sys.version_info[:3])
+        assert report.provenance["numpy"] == numpy.__version__
+        assert report.provenance["scipy"] == scipy.__version__
+        assert report.provenance["cpu_count"] == os.cpu_count()
 
     def test_jobspec_rejects_unknown_provenance_fields(self):
         payload = json.loads(run_table([1.0], small_job(method="Exact")).to_json())
@@ -528,18 +548,79 @@ class TestMain:
         assert len(payload["rows"]) == 3
         assert all(r["elapsed_seconds"] > 0 for r in payload["rows"])
 
-    def test_module_run_prints_no_runtime_warning(self):
+    def test_module_run_prints_no_runtime_warning(self, fresh_python):
         # importing the package must not import mcfdm.cli, or running the
         # module warns that it was already in sys.modules
-        src = str(Path(mcfdm.__file__).resolve().parents[1])
-        env = dict(os.environ)
-        env["PYTHONPATH"] = os.pathsep.join(
-            p for p in (src, env.get("PYTHONPATH")) if p
-        )
-        proc = subprocess.run(
-            [sys.executable, "-m", "mcfdm.cli", "--version"],
-            capture_output=True, text=True, env=env, timeout=60,
-        )
+        proc = fresh_python("-m", "mcfdm.cli", "--version")
         assert proc.returncode == 0
         assert proc.stdout.strip() == f"mcfdm {mcfdm.__version__}"
         assert "RuntimeWarning" not in proc.stderr
+
+
+# runs in a fresh interpreter: which scipy modules are loaded after
+# importing the CLI, and after one first call of an engine
+_LOADS = """
+import json, sys
+import mcfdm.cli
+from mcfdm import *
+def loaded():
+    return {m: m in sys.modules for m in ("scipy.linalg", "scipy.special")}
+before = loaded()
+contract = OptionContract(kind=OptionKind.PUT, strike=7.5, maturity=1.0, spot=7.0)
+market = MarketParams(r=0.05, sigma=0.25)
+%s
+print(json.dumps([before, loaded()]))
+"""
+
+# runs in a fresh interpreter: an engine's first call, as it reports its
+# time and as a clock around the call sees it
+_FIRST_CALL = """
+import json, time
+from mcfdm import *
+contract = OptionContract(kind=OptionKind.PUT, strike=7.5, maturity=1.0, spot=7.0)
+market = MarketParams(r=0.05, sigma=0.25)
+start = time.perf_counter()
+result = %s
+wall = time.perf_counter() - start
+print(json.dumps([result.elapsed_seconds, wall]))
+"""
+
+_SOLVES = {
+    "MCFDM": "solve_mcfdm(contract, market, build_grid(contract))",
+    "CFDM": "solve_crank_nicolson(contract, market, build_grid(contract))",
+    "MonteCarlo": "price_monte_carlo(contract, market, McConfig(n_paths=4096))",
+}
+
+
+class TestColdStart:
+    """scipy loads in the engine that calls it, outside that engine's clock."""
+
+    @pytest.mark.parametrize(
+        ("method", "linalg", "special"),
+        [("MCFDM", False, False), ("CFDM", True, False), ("MonteCarlo", False, True)],
+    )
+    def test_engine_loads_only_its_own_scipy_module(
+        self, fresh_python, method, linalg, special
+    ):
+        proc = fresh_python("-c", _LOADS % _SOLVES[method])
+        assert proc.returncode == 0, proc.stderr
+        before, after = json.loads(proc.stdout)
+        assert before == {"scipy.linalg": False, "scipy.special": False}
+        assert after == {"scipy.linalg": linalg, "scipy.special": special}
+
+    @pytest.mark.parametrize("method", ["CFDM", "MonteCarlo"])
+    def test_first_call_times_the_solve_not_the_import(self, fresh_python, method):
+        # the import costs well over 100 ms and these solves about 10 ms, so
+        # the ratio holds on a slow host as on a fast one
+        proc = fresh_python("-c", _FIRST_CALL % _SOLVES[method])
+        assert proc.returncode == 0, proc.stderr
+        elapsed, wall = json.loads(proc.stdout)
+        assert elapsed < 0.5 * wall
+
+    def test_theta_study_report_shows_no_scipy(self, fresh_python):
+        proc = fresh_python(
+            "-m", "mcfdm.cli", "theta-study", "--spot", "7", "--strike", "7.5",
+            "--format", "json",
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert json.loads(proc.stdout)["provenance"]["scipy"] is None

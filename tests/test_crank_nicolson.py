@@ -173,9 +173,9 @@ class TestSolveCrankNicolson:
         surface = crank_nicolson_surface(c, market(), disc)
         assert surface.values.shape == (41, 61)
         np.testing.assert_allclose(
-            surface.level(0), payoff(c, disc.nodes()), atol=1e-15
+            surface.values[0], payoff(c, disc.nodes()), atol=1e-15
         )
-        assert surface.is_nonnegative(tol=1e-12)
+        assert surface.values.min() >= -1e-12
 
     def test_one_step_satisfies_the_trapezoidal_equation(self):
         # (v_new - v_old)/dt must equal the average of the spatial operator
@@ -196,7 +196,7 @@ class TestSolveCrankNicolson:
             )
 
         for step in (1, 3, 5):
-            old, new = surface.level(step - 1), surface.level(step)
+            old, new = surface.values[step - 1], surface.values[step]
             lhs = (new[1:-1] - old[1:-1]) / disc.dt
             rhs = 0.5 * (spatial_operator(new) + spatial_operator(old))
             np.testing.assert_allclose(lhs, rhs, atol=1e-9)
@@ -206,7 +206,7 @@ class TestSolveCrankNicolson:
         disc = build_grid(c, n_space=80, n_time=50)
         result = solve_crank_nicolson(c, m := market(), disc)
         surface = crank_nicolson_surface(c, m, disc)
-        interpolated = float(np.interp(c.spot, disc.nodes(), surface.level(disc.n_time)))
+        interpolated = float(np.interp(c.spot, disc.nodes(), surface.values[disc.n_time]))
         assert result.price == pytest.approx(interpolated, abs=1e-14)
 
     def test_elapsed_and_error_fields(self):

@@ -191,7 +191,7 @@ class TestExplicitStep:
         c = contract(maturity=tau)
         report = solve_mcfdm(c, market(), disc, keep_surface=True)
         for n in (1, 37):
-            out = report.surface.level(n)
+            out = report.surface.values[n]
             assert out[0] == 0.0
             assert out[-1] == pytest.approx(
                 10.0 - 5.5 * math.exp(-0.05 * n * 0.01), abs=1e-12
@@ -316,9 +316,9 @@ class TestSolveMcfdm:
         disc = build_grid(c)
         report = solve_mcfdm(c, market(), disc, keep_surface=True)
         assert report.surface.values.shape == (disc.n_time + 1, disc.n_space + 1)
-        assert report.surface.is_nonnegative()
+        assert report.surface.values.min() >= 0.0
         np.testing.assert_allclose(
-            report.surface.level(0), payoff(c, disc.nodes()), atol=1e-15
+            report.surface.values[0], payoff(c, disc.nodes()), atol=1e-15
         )
 
     def test_theta_values_cover_interior(self):

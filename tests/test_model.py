@@ -203,10 +203,10 @@ class TestPriceSurface:
         disc = Discretization(s_max=10.0, n_space=10, n_time=2, ds=1.0, dt=0.1)
         values = np.ones((3, 11))
         surface = PriceSurface(values=values, disc=disc)
-        np.testing.assert_array_equal(surface.level(1), np.ones(11))
-        assert surface.is_nonnegative()
+        np.testing.assert_array_equal(surface.values[1], np.ones(11))
+        assert surface.values.min() >= 0.0
         values[2, 4] = -1e-3
-        assert not PriceSurface(values=values, disc=disc).is_nonnegative()
+        assert not PriceSurface(values=values, disc=disc).values.min() >= 0.0
 
 
 class TestPricingResult:

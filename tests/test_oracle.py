@@ -1,14 +1,9 @@
 import math
-import os
-import subprocess
-import sys
-from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-import mcfdm
 from mcfdm import (
     MarketParams,
     OptionContract,
@@ -150,19 +145,10 @@ class TestRiskNeutralIntegralPrice:
         with pytest.raises(ValidationError):
             risk_neutral_integral_price(contract(), market(), tolerance=0.0)
 
-    def test_package_import_leaves_quadrature_unloaded(self):
+    def test_package_import_leaves_quadrature_unloaded(self, fresh_python):
         # scipy.integrate serves only this oracle, so it loads on first call
-        src = str(Path(mcfdm.__file__).resolve().parents[1])
-        env = dict(os.environ)
-        env["PYTHONPATH"] = os.pathsep.join(
-            p for p in (src, env.get("PYTHONPATH")) if p
-        )
-        proc = subprocess.run(
-            [
-                sys.executable, "-c",
-                "import sys, mcfdm; print('scipy.integrate' in sys.modules)",
-            ],
-            capture_output=True, text=True, env=env, timeout=60,
+        proc = fresh_python(
+            "-c", "import sys, mcfdm; print('scipy.integrate' in sys.modules)"
         )
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout.strip() == "False"
