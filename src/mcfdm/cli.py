@@ -22,7 +22,7 @@ import os
 import statistics
 import sys
 import time
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass, field, fields
 from datetime import datetime, timezone
 from functools import partial
 from itertools import product
@@ -79,6 +79,14 @@ _METHOD_ALIASES = {
     "montecarlo": "MonteCarlo",
     "exact": "Exact",
     "all": "All",
+}
+# the allowed words of JobSpec's word fields, which are also the choices of
+# their flags
+_CHOICES = {
+    "kind": tuple(kind.value for kind in OptionKind),
+    "theta_mode": ("normalized", "literal"),
+    "alpha": tuple(profile.value for profile in AlphaProfile),
+    "fmt": ("table", "csv", "json"),
 }
 _DEFAULT_MATURITIES = (0.25, 0.5, 1.0)
 _DEFAULT_SCALINGS = (0.5, 1.0, 2.0)
@@ -153,22 +161,17 @@ class JobSpec:
     def __post_init__(self) -> None:
         if self.method not in _ALL_METHODS and self.method != "All":
             raise ValidationError(f"unknown method {self.method!r}")
-        if self.kind not in ("call", "put"):
-            raise ValidationError(f"kind must be 'call' or 'put', got {self.kind!r}")
-        if self.theta_mode not in ("normalized", "literal"):
-            raise ValidationError(
-                f"theta_mode must be 'normalized' or 'literal', got {self.theta_mode!r}"
-            )
-        if self.alpha not in ("constant", "proportional"):
-            raise ValidationError(
-                f"alpha must be 'constant' or 'proportional', got {self.alpha!r}"
-            )
-        if self.fmt not in ("table", "csv", "json"):
-            raise ValidationError(
-                f"fmt must be 'table', 'csv', or 'json', got {self.fmt!r}"
-            )
+        for name, words in _CHOICES.items():
+            value = getattr(self, name)
+            if value not in words:
+                *head, last = map(repr, words)
+                allowed = ", ".join(head) + ("," if head[1:] else "") + f" or {last}"
+                raise ValidationError(f"{name} must be {allowed}, got {value!r}")
         if isinstance(self.s_max, str) and self.s_max != "auto":
             raise ValidationError(f"s_max must be 'auto' or a number, got {self.s_max!r}")
+
+
+_JOB_HINTS = get_type_hints(JobSpec)
 
 
 @dataclass(frozen=True, slots=True)
@@ -456,16 +459,21 @@ def _solve_row(row: _Row, repeats: int | None = None) -> ReportRow:
         )
 
 
-def _provenance(job: JobSpec, **extra: Any) -> dict[str, Any]:
-    """The report's provenance block; build it after the rows have run.
+def _provenance(
+    job: JobSpec, rows: Sequence[ReportRow], **extra: Any
+) -> dict[str, Any]:
+    """The report's provenance block, built after its ``rows`` have run.
 
-    ``scipy`` is the version of the scipy the engines loaded, or ``None``
-    when no engine called it: it is read from ``sys.modules``, so that
-    writing it loads nothing.
+    ``scipy`` is the version of the scipy that the report's Crank-Nicolson
+    and Monte Carlo rows loaded, or ``None`` when it has no such row, even
+    if an earlier call in the same process loaded scipy. It is read from
+    ``sys.modules``, so that writing it loads nothing.
     """
     echo = asdict(job)
     echo["mc_steps"] = _mc_steps(job, timing=extra.get("subcommand") == "timing")
-    scipy = sys.modules.get("scipy")
+    scipy = None
+    if not {"CFDM", "MonteCarlo"}.isdisjoint(row.method for row in rows):
+        scipy = sys.modules.get("scipy")
     block: dict[str, Any] = {
         "tool": "mcfdm",
         "version": __version__,
@@ -504,7 +512,7 @@ def run_table(maturities: Sequence[float], job: JobSpec) -> TableReport:
     # solve alone
     rows = [_solve_row(row) for row in _plan(job, _methods_for(job), maturities)]
     return TableReport(
-        provenance=_provenance(job, subcommand="table", maturities=maturities),
+        provenance=_provenance(job, rows, subcommand="table", maturities=maturities),
         rows=tuple(rows),
     )
 
@@ -516,14 +524,14 @@ def run_timing(job: JobSpec, repeats: int = 5) -> TableReport:
     job's full time grid here unless ``mc_steps`` pins a step count, so
     all methods advance through the same number of time levels.
     """
-    if repeats < 3:
-        raise ValidationError(f"repeats must be >= 3, got {repeats}")
+    if not _fits(repeats, int) or repeats < 3:
+        raise ValidationError(f"repeats must be an int >= 3, got {repeats!r}")
     plan = _plan(
         job, _methods_for(job, numerical_only=True), [job.maturity], timing=True
     )
     rows = [_solve_row(row, repeats) for row in plan]
     return TableReport(
-        provenance=_provenance(job, subcommand="timing", repeats=repeats),
+        provenance=_provenance(job, rows, subcommand="timing", repeats=repeats),
         rows=tuple(rows),
     )
 
@@ -535,7 +543,7 @@ def run_theta_study(scalings: Sequence[float], job: JobSpec) -> TableReport:
     plan = _plan(job, ["MCFDM"], [job.maturity], scalings=ordered)
     rows = tuple(_solve_row(row) for row in plan)
     return TableReport(
-        provenance=_provenance(job, subcommand="theta-study", scalings=ordered),
+        provenance=_provenance(job, rows, subcommand="theta-study", scalings=ordered),
         rows=rows,
     )
 
@@ -550,6 +558,14 @@ def run_convergence(
     """
     if not grids:
         raise ValidationError("grid list must be nonempty")
+    for grid in grids:
+        # a replayed report holds its grids as "N_SPACE:N_TIME" strings
+        if not (
+            isinstance(grid, (tuple, list))
+            and len(grid) == 2
+            and all(_fits(n, int) for n in grid)
+        ):
+            raise ValidationError(f"grid must be a pair of ints, got {grid!r}")
     if job.method == "All":
         raise ValidationError("convergence runs a single method; pick one")
     rows: list[ReportRow] = []
@@ -573,6 +589,7 @@ def run_convergence(
     return TableReport(
         provenance=_provenance(
             job,
+            rows,
             subcommand="convergence",
             grids=[f"{ns}:{nt}" for ns, nt in grids],
         ),
@@ -593,14 +610,13 @@ def jobspec_from_report(report: dict[str, Any]) -> JobSpec:
         echo = dict(report["provenance"]["job"])
     except (KeyError, TypeError) as exc:
         raise ValidationError("report lacks a provenance.job block") from exc
-    hints = get_type_hints(JobSpec)
-    unknown = set(echo) - set(hints)
+    unknown = set(echo) - set(_JOB_HINTS)
     if unknown:
         raise ValidationError(f"unknown job fields in report: {sorted(unknown)}")
     # the report is untyped JSON, so each field is checked against its annotation
     for name, value in echo.items():
-        if not _fits(value, hints[name]):
-            expected = getattr(hints[name], "__name__", hints[name])
+        if not _fits(value, _JOB_HINTS[name]):
+            expected = getattr(_JOB_HINTS[name], "__name__", _JOB_HINTS[name])
             raise ValidationError(f"job field {name} must be {expected}, got {value!r}")
     return JobSpec(**echo)
 
@@ -622,50 +638,36 @@ def _exit_code(report: TableReport) -> int:
     return 0
 
 
+# the JobSpec fields whose flag parses with something other than their
+# annotation, and the flags that carry a help text
+_FLAG_TYPES = {"method": _parse_method, "s_max": _parse_smax, "mc_steps": int, "out": str}
+_FLAG_HELP = {
+    "method": "mcfdm, cfdm, mc, exact, or all",
+    "s_max": "'auto' or an explicit grid upper bound",
+    "mc_steps": "Monte Carlo time steps (default: 1, or the full time grid "
+    "for the timing subcommand)",
+    "allow_unstable": "run explicit solves past the stability bound",
+    "out": "write the report to this path",
+}
+
+
 def _build_parser() -> argparse.ArgumentParser:
+    # one flag per JobSpec field but maturity, which each subcommand declares
     common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--kind", choices=("call", "put"), default="call")
-    common.add_argument("--spot", type=float, default=5.0)
-    common.add_argument("--strike", type=float, default=5.5)
-    common.add_argument("--rate", type=float, default=0.05)
-    common.add_argument("--vol", type=float, default=0.25)
-    common.add_argument(
-        "--method",
-        type=_parse_method,
-        default="All",
-        help="mcfdm, cfdm, mc, exact, or all",
-    )
-    common.add_argument("--n-space", type=int, default=100)
-    common.add_argument("--n-time", type=int, default=1000)
-    common.add_argument(
-        "--s-max",
-        type=_parse_smax,
-        default="auto",
-        help="'auto' or an explicit grid upper bound",
-    )
-    common.add_argument("--theta-scale", type=float, default=1.0)
-    common.add_argument(
-        "--theta-mode", choices=("normalized", "literal"), default="normalized"
-    )
-    common.add_argument(
-        "--alpha", choices=("constant", "proportional"), default="constant"
-    )
-    common.add_argument("--paths", type=int, default=100_000)
-    common.add_argument("--seed", type=int, default=42)
-    common.add_argument(
-        "--mc-steps",
-        type=int,
-        default=None,
-        help="Monte Carlo time steps (default: 1, or the full time grid "
-        "for the timing subcommand)",
-    )
-    common.add_argument(
-        "--allow-unstable",
-        action="store_true",
-        help="run explicit solves past the stability bound",
-    )
-    common.add_argument("--format", choices=("table", "csv", "json"), default="table")
-    common.add_argument("--out", default=None, help="write the report to this path")
+    for spec in fields(JobSpec):
+        name, hint = spec.name, _JOB_HINTS[spec.name]
+        if name == "maturity":
+            continue
+        kwargs: dict[str, Any] = {"action": "store_true"}
+        if hint is not bool:
+            kwargs = {"type": _FLAG_TYPES.get(name, hint), "choices": _CHOICES.get(name)}
+        common.add_argument(
+            "--format" if name == "fmt" else "--" + name.replace("_", "-"),
+            dest=name,
+            default=spec.default,
+            help=_FLAG_HELP.get(name),
+            **kwargs,
+        )
 
     parser = argparse.ArgumentParser(
         prog="mcfdm",
@@ -723,12 +725,8 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _job_from_args(args: argparse.Namespace, *, maturity: float) -> JobSpec:
-    shared = {
-        name: getattr(args, name)
-        for name in JobSpec.__dataclass_fields__
-        if name not in ("maturity", "fmt")
-    }
-    return JobSpec(**shared, maturity=maturity, fmt=args.format)
+    shared = {spec.name: getattr(args, spec.name) for spec in fields(JobSpec)}
+    return JobSpec(**{**shared, "maturity": maturity})
 
 
 def _emit(report: TableReport, job: JobSpec) -> None:

@@ -24,6 +24,9 @@ _INV_SQRT_2PI = 1.0 / math.sqrt(2.0 * math.pi)
 # standard normal mass beyond |z| = 40 underflows double precision
 _Z_CUTOFF = 40.0
 
+# absolute and relative tolerance of the quadrature
+_TOLERANCE = 1e-10
+
 
 def std_normal_cdf(x: float) -> float:
     """Standard normal CDF N(x).
@@ -60,7 +63,6 @@ def black_scholes_price(
 def risk_neutral_integral_price(
     contract: OptionContract,
     market: MarketParams,
-    tolerance: float = 1e-10,
 ) -> float:
     """Discounted expected payoff by adaptive quadrature.
 
@@ -72,8 +74,6 @@ def risk_neutral_integral_price(
     # imported here so that ``import mcfdm`` does not pay for scipy.integrate
     from scipy.integrate import quad
 
-    if not tolerance > 0.0:
-        raise ValidationError(f"tolerance must be > 0, got {tolerance}")
     s0, k, t = contract.spot, contract.strike, contract.maturity
     r, sigma = market.r, market.sigma
     mu = (r - 0.5 * sigma * sigma) * t
@@ -107,8 +107,8 @@ def risk_neutral_integral_price(
         lo,
         hi,
         points=peaks or None,
-        epsabs=tolerance,
-        epsrel=tolerance,
+        epsabs=_TOLERANCE,
+        epsrel=_TOLERANCE,
         limit=200,
         full_output=True,
     )

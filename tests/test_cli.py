@@ -1,4 +1,6 @@
+import argparse
 import csv
+import dataclasses
 import json
 import math
 import os
@@ -22,7 +24,9 @@ from mcfdm.cli import (
     JobSpec,
     ReportRow,
     TableReport,
+    _build_parser,
     _exit_code,
+    _job_from_args,
     format_error,
     jobspec_from_report,
     main,
@@ -84,6 +88,26 @@ class TestJobSpec:
     def test_rejects_unknown_tokens(self, kwargs):
         with pytest.raises(ValidationError):
             JobSpec(**kwargs)
+
+    @pytest.mark.parametrize(
+        ("kwargs", "message"),
+        [
+            ({"kind": "straddle"}, "kind must be 'call' or 'put', got 'straddle'"),
+            (
+                {"theta_mode": "raw"},
+                "theta_mode must be 'normalized' or 'literal', got 'raw'",
+            ),
+            (
+                {"alpha": "quadratic"},
+                "alpha must be 'constant' or 'proportional', got 'quadratic'",
+            ),
+            ({"fmt": "yaml"}, "fmt must be 'table', 'csv', or 'json', got 'yaml'"),
+        ],
+    )
+    def test_word_field_names_its_allowed_words(self, kwargs, message):
+        with pytest.raises(ValidationError) as info:
+            JobSpec(**kwargs)
+        assert str(info.value) == message
 
 
 class TestRunPrice:
@@ -168,6 +192,15 @@ class TestRunTiming:
         mc = report.rows[-1]
         assert mc.metadata["mc_steps"] == 100
 
+    @pytest.mark.parametrize("repeats", [3.5, "5", True, None])
+    def test_repeats_of_the_wrong_type_rejected_before_rows_run(
+        self, monkeypatch, repeats
+    ):
+        for engine in _ENGINES:
+            monkeypatch.setattr(f"mcfdm.cli.{engine}", _fail_if_called)
+        with pytest.raises(ValidationError, match="repeats must be"):
+            run_timing(small_job(), repeats=repeats)
+
     def test_mc_steps_override_survives_timing(self):
         job = small_job(
             method="MonteCarlo", maturity=0.25, paths=2000, mc_steps=7
@@ -221,11 +254,27 @@ class TestRunConvergence:
         errors = [r.abs_error for r in report.rows]
         assert errors[0] > errors[1] > errors[2]
 
+    @pytest.mark.parametrize(
+        "grids",
+        [[(50,)], [(50, 400, 7)], ["50:400"], [(50, 400.0)], [(50, 400), None]],
+        ids=["one-number", "three-numbers", "replayed-string", "float", "none"],
+    )
+    def test_grid_that_is_not_a_pair_of_ints_is_rejected(self, monkeypatch, grids):
+        for engine in _ENGINES:
+            monkeypatch.setattr(f"mcfdm.cli.{engine}", _fail_if_called)
+        with pytest.raises(ValidationError, match="grid must be a pair of ints"):
+            run_convergence(grids, small_job(method="CFDM", n_time=400))
+
     def test_repeated_grid_gets_no_order_estimate(self):
         job = small_job(method="CFDM", n_time=200, maturity=0.25)
         report = run_convergence([(50, 200), (50, 200)], job)
         assert report.rows[0].abs_error == report.rows[1].abs_error
         assert "observed_order" not in report.rows[1].metadata
+
+
+_ENGINES = (
+    "solve_mcfdm", "solve_crank_nicolson", "price_monte_carlo", "black_scholes_price",
+)
 
 
 def _fail_if_called(*args, **kwargs):
@@ -247,10 +296,7 @@ def _fail_if_called(*args, **kwargs):
          "cfdm-theta-scale", "mc-paths"],
 )
 def test_bad_input_fails_before_any_row_runs(monkeypatch, run):
-    for engine in (
-        "solve_mcfdm", "solve_crank_nicolson", "price_monte_carlo",
-        "black_scholes_price",
-    ):
+    for engine in _ENGINES:
         monkeypatch.setattr(f"mcfdm.cli.{engine}", _fail_if_called)
     with pytest.raises(ValidationError):
         run()
@@ -391,6 +437,12 @@ class TestReportFormats:
         assert report.provenance["scipy"] == scipy.__version__
         assert report.provenance["cpu_count"] == os.cpu_count()
 
+    def test_scipy_key_reads_only_the_reports_own_rows(self):
+        # an earlier Crank-Nicolson call in this process loaded scipy
+        run_table([1.0], JobSpec(method="CFDM"))
+        assert run_theta_study([1.0], JobSpec()).provenance["scipy"] is None
+        assert run_table([1.0], JobSpec(method="MCFDM")).provenance["scipy"] is None
+
     def test_jobspec_rejects_unknown_provenance_fields(self):
         payload = json.loads(run_table([1.0], small_job(method="Exact")).to_json())
         payload["provenance"]["job"]["stencil"] = "upwind"
@@ -446,6 +498,25 @@ class TestExitCodeMapping:
         solver = self._report("solver").rows[0]
         report = TableReport(provenance={}, rows=(stability, solver))
         assert _exit_code(report) == 2
+
+
+_SUBCOMMANDS = ("price", "table", "timing", "theta-study", "convergence")
+
+
+class TestParser:
+    @pytest.mark.parametrize("command", _SUBCOMMANDS)
+    def test_no_flags_parse_to_the_default_job(self, command):
+        args = _build_parser().parse_args([command])
+        assert _job_from_args(args, maturity=0.5) == JobSpec(maturity=0.5)
+
+    @pytest.mark.parametrize("command", _SUBCOMMANDS)
+    def test_every_job_field_but_maturity_has_one_flag(self, command):
+        parser = _build_parser()
+        (sub,) = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+        own = {"help", "maturity", "repeats", "scaling", "grid"}
+        dests = [a.dest for a in sub.choices[command]._actions if a.dest not in own]
+        names = [f.name for f in dataclasses.fields(JobSpec) if f.name != "maturity"]
+        assert sorted(dests) == sorted(names)
 
 
 class TestMain:

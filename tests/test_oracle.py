@@ -141,10 +141,6 @@ class TestRiskNeutralIntegralPrice:
         m = MarketParams(r=0.0, sigma=0.1)
         assert risk_neutral_integral_price(c, m) == pytest.approx(0.0, abs=1e-12)
 
-    def test_tolerance_validated(self):
-        with pytest.raises(ValidationError):
-            risk_neutral_integral_price(contract(), market(), tolerance=0.0)
-
     def test_package_import_leaves_quadrature_unloaded(self, fresh_python):
         # scipy.integrate serves only this oracle, so it loads on first call
         proc = fresh_python(
