@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -14,10 +15,17 @@ from mcfdm import (
     price_monte_carlo,
     sample_terminal_price,
 )
+from mcfdm import monte_carlo
+from mcfdm.model import payoff
 
 # regression pins for the default benchmark draw (100k paths, Philox seed 42)
 SEED42_PRICE = 0.6377697990357741
 SEED42_SE = 0.0036257047505021045
+# and for a long march (8192 paths x 1000 steps, seed 123), read before the
+# march was streamed through row chunks
+SEED123_1000_STEPS_PRICE = 0.6379490662531269
+SEED123_1000_STEPS_SE = 0.012825352541827173
+LONG_MARCH = McConfig(n_paths=8192, seed=123, n_time_steps=1000)
 
 
 def market():
@@ -43,10 +51,13 @@ class TestMcConfig:
             {"seed": -1},
             {"seed": 2**64},
             {"n_time_steps": 0},
+            {"n_paths": True},
+            {"seed": False},
+            {"n_time_steps": True},
         ],
     )
     def test_rejects_bad_fields(self, kwargs):
-        with pytest.raises(ValidationError):
+        with pytest.raises(ValidationError, match="must be an int"):
             McConfig(**kwargs)
 
 
@@ -81,6 +92,15 @@ class TestSampleTerminalPrice:
             sample_terminal_price(market(), -1.0, 1.0, 1, np.zeros((1, 2)))
         with pytest.raises(ValidationError):
             sample_terminal_price(market(), 1.0, 0.0, 1, np.zeros((1, 2)))
+        for s0, t_total in [(math.nan, 1.0), (math.inf, 1.0), (1.0, math.nan), (1.0, math.inf)]:
+            with pytest.raises(ValidationError, match="finite"):
+                sample_terminal_price(market(), s0, t_total, 1, np.zeros((1, 2)))
+
+    def test_normals_are_left_unchanged(self):
+        normals = np.random.default_rng(4).standard_normal((40, 16))
+        before = normals.copy()
+        sample_terminal_price(market(), 7.0, 1.0, 40, normals)
+        np.testing.assert_array_equal(normals, before)
 
 
 class TestPriceMonteCarlo:
@@ -90,6 +110,60 @@ class TestPriceMonteCarlo:
         assert result.extra["se"] == SEED42_SE
         assert result.extra["paths"] == 100_000
         assert result.extra["seed"] == 42
+
+    def test_long_march_is_pinned(self):
+        result = price_monte_carlo(contract(), market(), LONG_MARCH)
+        assert result.price == SEED123_1000_STEPS_PRICE
+        assert result.extra["se"] == SEED123_1000_STEPS_SE
+
+    @pytest.mark.parametrize(
+        "n_steps",
+        [
+            1,
+            monte_carlo._CHUNK_ROWS - 1,
+            monte_carlo._CHUNK_ROWS,
+            monte_carlo._CHUNK_ROWS + 1,
+            1000,
+        ],
+    )
+    def test_streamed_blocks_equal_the_whole_block_draw(self, n_steps):
+        # the reference draws and transforms each block in one piece; 4097
+        # paths leave a one-path last block
+        from scipy.special import ndtri
+
+        c, mk = contract(), market()
+        config = McConfig(n_paths=4097, seed=9, n_time_steps=n_steps)
+        total = total_sq = 0.0
+        for b, start in enumerate(range(0, config.n_paths, monte_carlo._BLOCK)):
+            m = min(monte_carlo._BLOCK, config.n_paths - start)
+            gen = np.random.Generator(np.random.Philox(key=config.seed).jumped(b))
+            raw = gen.integers(0, 1 << 53, size=(n_steps, m), dtype=np.uint64)
+            z = ndtri((raw.astype(np.float64) + 0.5) / float(1 << 53))
+            sample = payoff(c, sample_terminal_price(mk, c.spot, c.maturity, n_steps, z))
+            total += float(sample.sum())
+            total_sq += float((sample * sample).sum())
+        n = config.n_paths
+        mean = total / n
+        discount = math.exp(-mk.r * c.maturity)
+        se = discount * math.sqrt(max((total_sq - n * mean * mean) / (n - 1), 0.0) / n)
+        for workers in (1, 2):
+            result = price_monte_carlo(c, mk, config, n_workers=workers)
+            assert result.price == discount * mean
+            assert result.extra["se"] == se
+
+    @pytest.mark.parametrize(("workers", "bound_mb"), [(1, 8.0), (2, 16.0)])
+    def test_long_march_memory_peak_is_bounded(self, workers, bound_mb):
+        # a whole 4096 x 1000 block of draws is 31 MB per array; streamed
+        # blocks keep a few 1 MB chunks live per worker
+        warm = McConfig(n_paths=2 * monte_carlo._BLOCK, seed=1, n_time_steps=2)
+        price_monte_carlo(contract(), market(), warm, n_workers=workers)
+        tracemalloc.start()
+        try:
+            price_monte_carlo(contract(), market(), LONG_MARCH, n_workers=workers)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak / 2**20 < bound_mb
 
     def test_worker_count_never_changes_bits(self):
         serial = price_monte_carlo(contract(), market(), n_workers=1)
@@ -142,6 +216,8 @@ class TestPriceMonteCarlo:
     def test_bad_worker_count_rejected(self):
         with pytest.raises(ValidationError):
             price_monte_carlo(contract(), market(), n_workers=0)
+        with pytest.raises(ValidationError, match="n_workers must be an int"):
+            price_monte_carlo(contract(), market(), n_workers=True)
 
     def test_estimate_brackets_the_closed_form_across_seeds(self):
         hits = 0
