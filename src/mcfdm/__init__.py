@@ -23,7 +23,6 @@ from .mean_convection import (
     ThetaConfig,
     max_stable_dt,
     solve_mcfdm,
-    theta_at,
 )
 from .model import (
     AlphaProfile,
@@ -32,7 +31,6 @@ from .model import (
     Method,
     OptionContract,
     OptionKind,
-    PriceSurface,
     PricingResult,
     build_grid,
     payoff,
@@ -50,7 +48,6 @@ __all__ = [
     "Method",
     "OptionContract",
     "OptionKind",
-    "PriceSurface",
     "PricingResult",
     "QuadratureError",
     "SingularSystemError",
@@ -69,5 +66,4 @@ __all__ = [
     "solve_crank_nicolson",
     "solve_mcfdm",
     "std_normal_cdf",
-    "theta_at",
 ]

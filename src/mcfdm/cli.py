@@ -729,6 +729,17 @@ def _job_from_args(args: argparse.Namespace, *, maturity: float) -> JobSpec:
     return JobSpec(**{**shared, "maturity": maturity})
 
 
+def _check_out(out: str | None) -> None:
+    """Reject an ``--out`` path that cannot be written, before any row runs."""
+    if out is None:
+        return
+    path = Path(out)
+    if path.is_dir():
+        raise ValidationError(f"--out {out!r} is a directory")
+    if not path.parent.is_dir():
+        raise ValidationError(f"--out {out!r}: no directory {str(path.parent)!r}")
+
+
 def _emit(report: TableReport, job: JobSpec) -> None:
     text = _render(report, job)
     if job.out is None:
@@ -751,6 +762,7 @@ def main(argv: Sequence[str] | None = None) -> int:
         else:
             maturities = [args.maturity]
         job = _job_from_args(args, maturity=maturities[0])
+        _check_out(job.out)
         if args.command in ("price", "table"):
             report = run_table(maturities, job)
         elif args.command == "timing":
@@ -762,7 +774,11 @@ def main(argv: Sequence[str] | None = None) -> int:
     except ValidationError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    _emit(report, job)
+    try:
+        _emit(report, job)
+    except OSError as exc:
+        print(f"error: cannot write the report: {exc}", file=sys.stderr)
+        return 1
     return _exit_code(report)
 
 

@@ -17,7 +17,6 @@ from .model import (
     MarketParams,
     Method,
     OptionContract,
-    PriceSurface,
     PricingResult,
     _boundaries,
     _march,
@@ -80,7 +79,8 @@ def crank_nicolson_surface(
     contract: OptionContract,
     market: MarketParams,
     disc: Discretization,
-) -> PriceSurface:
-    """Full backward-time price surface (level 0 is the payoff)."""
+) -> np.ndarray:
+    """Full backward-time price surface of shape ``(n_time + 1, n_space + 1)``
+    (level 0 is the payoff)."""
     _, levels, _ = _cn_march(contract, market, disc, keep_surface=True)
-    return PriceSurface(values=levels, disc=disc)
+    return levels

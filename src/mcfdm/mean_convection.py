@@ -25,7 +25,6 @@ from .model import (
     MarketParams,
     Method,
     OptionContract,
-    PriceSurface,
     PricingResult,
     _boundaries,
     _march,
@@ -39,7 +38,6 @@ __all__ = [
     "ThetaConfig",
     "max_stable_dt",
     "solve_mcfdm",
-    "theta_at",
 ]
 
 logger = logging.getLogger(__name__)
@@ -67,13 +65,15 @@ class ThetaConfig:
 
 @dataclass(frozen=True, slots=True)
 class McfdmReport:
-    """Solve result plus scheme diagnostics."""
+    """Solve result plus, when asked for, the price surface.
+
+    ``surface`` has shape ``(n_time + 1, n_space + 1)``: row 0 is the
+    maturity payoff and row ``n_time`` the valuation date. The scheme's
+    diagnostics are in ``result.extra``.
+    """
 
     result: PricingResult
-    theta_values: np.ndarray
-    cfl_margin: float
-    oscillation: bool
-    surface: PriceSurface | None = None
+    surface: np.ndarray | None = None
 
 
 def _theta_values(
@@ -82,13 +82,17 @@ def _theta_values(
     ds: float,
     config: ThetaConfig,
 ) -> np.ndarray:
-    """Tuning factor for each cell center in ``s`` (vectorized)."""
-    lo = s - 0.5 * ds
-    if float(lo.min()) <= 0.0:
-        raise ValidationError("theta cell must lie strictly above S=0")
+    """Tuning factor for each cell ``[s - ds/2, s + ds/2]`` (vectorized).
+
+    Literal mode returns ``0.5 / integral(1/alpha)`` over the cell;
+    normalized mode divides that by the constant-profile reference
+    ``alpha(s) / (2 ds)``. The ``scaling`` multiplier applies in both modes.
+    Each cell must lie above S = 0, as those of interior nodes ``i * ds``,
+    ``i >= 1``, do.
+    """
     # cell is sigma * integral(1/alpha) over the cell, shape is alpha(s) / sigma
     if market.alpha_profile is AlphaProfile.PROPORTIONAL:
-        cell, shape = np.log1p(ds / lo), s
+        cell, shape = np.log1p(ds / (s - 0.5 * ds)), s
     else:
         cell, shape = np.full_like(s, ds), 1.0
     # scaling multiplies last so k-linearity holds to the bit
@@ -96,24 +100,6 @@ def _theta_values(
         return config.scaling * (0.5 * market.sigma / cell)
     # literal value divided by the constant-profile reference alpha(s) / (2 ds)
     return config.scaling * (ds / (shape * cell))
-
-
-def theta_at(
-    market: MarketParams,
-    s: float,
-    ds: float,
-    config: ThetaConfig,
-) -> float:
-    """Convection tuning factor for the cell centered at ``s``.
-
-    Literal mode returns ``0.5 / integral(1/alpha)`` over
-    ``[s - ds/2, s + ds/2]``; normalized mode divides that by the
-    constant-profile reference ``alpha(s) / (2 ds)``. The ``scaling``
-    multiplier applies in both modes.
-    """
-    if ds <= 0.0:
-        raise ValidationError(f"ds must be > 0, got {ds}")
-    return float(_theta_values(market, np.array([s], dtype=float), ds, config)[0])
 
 
 def _dt_max(
@@ -157,7 +143,6 @@ def solve_mcfdm(
     *,
     allow_unstable: bool = False,
     keep_surface: bool = False,
-    include_convection: bool = True,
 ) -> McfdmReport:
     """March the explicit scheme from the payoff to the valuation date.
 
@@ -167,15 +152,12 @@ def solve_mcfdm(
         Run past the stability bound instead of raising ``StabilityError``.
     keep_surface : bool
         Also return the full price surface.
-    include_convection : bool
-        Diagnostic switch that removes the convection stencil entirely; a
-        ``scaling=0`` configuration must match it exactly.
 
     Returns
     -------
     McfdmReport
-        Pricing result plus per-node theta values, the CFL margin
-        ``dt_max / dt``, and the oscillation flag (set when any interior
+        Pricing result whose ``extra`` carries the CFL margin
+        ``dt_max / dt`` and the oscillation flag (set when any interior
         node exceeds the maximum of its previous-level neighborhood by more
         than ``OSCILLATION_TOLERANCE`` in a single step).
     """
@@ -196,8 +178,7 @@ def solve_mcfdm(
             disc.dt,
             dt_max,
         )
-    convection_thetas = thetas if include_convection else np.zeros_like(thetas)
-    bands = _operator(market, s_interior, convection_thetas, disc.ds)
+    bands = _operator(market, s_interior, thetas, disc.ds)
     v, levels, oscillation = _march(
         payoff(contract, s),
         bands,
@@ -210,7 +191,6 @@ def solve_mcfdm(
     elapsed = time.perf_counter() - t_start
 
     exact = black_scholes_price(contract, market)
-    cfl_margin = dt_max / disc.dt
     result = PricingResult(
         method=Method.MCFDM,
         price=price,
@@ -222,15 +202,8 @@ def solve_mcfdm(
             "alpha_profile": market.alpha_profile.value,
             "n_space": disc.n_space,
             "n_time": disc.n_time,
-            "cfl_margin": cfl_margin,
+            "cfl_margin": dt_max / disc.dt,
             "oscillation": oscillation,
         },
     )
-    surface = PriceSurface(values=levels, disc=disc) if keep_surface else None
-    return McfdmReport(
-        result=result,
-        theta_values=thetas,
-        cfl_margin=cfl_margin,
-        oscillation=oscillation,
-        surface=surface,
-    )
+    return McfdmReport(result=result, surface=levels)

@@ -18,7 +18,6 @@ __all__ = [
     "Method",
     "OptionContract",
     "OptionKind",
-    "PriceSurface",
     "PricingResult",
     "build_grid",
     "payoff",
@@ -29,6 +28,13 @@ _REL_TOL = 1e-9
 
 # single-step excess over the neighborhood maximum that counts as oscillation
 OSCILLATION_TOLERANCE = 1e-9
+
+
+def _require_count(name: str, value: object, minimum: int) -> None:
+    """Reject a count that is not an int, or is below ``minimum``."""
+    # a bool is an int to isinstance, but True is no count of anything
+    if isinstance(value, bool) or not isinstance(value, int) or value < minimum:
+        raise ValidationError(f"{name} must be an int >= {minimum}, got {value}")
 
 
 class OptionKind(enum.Enum):
@@ -104,10 +110,8 @@ class Discretization:
     dt: float
 
     def __post_init__(self) -> None:
-        if not isinstance(self.n_space, int) or self.n_space < 4:
-            raise ValidationError(f"n_space must be an int >= 4, got {self.n_space}")
-        if not isinstance(self.n_time, int) or self.n_time < 1:
-            raise ValidationError(f"n_time must be an int >= 1, got {self.n_time}")
+        _require_count("n_space", self.n_space, 4)
+        _require_count("n_time", self.n_time, 1)
         if not math.isfinite(self.s_max) or self.s_max <= 0.0:
             raise ValidationError(f"s_max must be finite and > 0, got {self.s_max}")
         if not math.isfinite(self.ds) or self.ds <= 0.0:
@@ -122,25 +126,6 @@ class Discretization:
 
     def nodes(self) -> np.ndarray:
         return np.arange(self.n_space + 1) * self.ds
-
-
-@dataclass(frozen=True, slots=True)
-class PriceSurface:
-    """Option values on the grid, one row per backward-time level.
-
-    ``values[0]`` is the maturity payoff and ``values[n_time]`` the valuation
-    date.
-    """
-
-    values: np.ndarray
-    disc: Discretization
-
-    def __post_init__(self) -> None:
-        expected = (self.disc.n_time + 1, self.disc.n_space + 1)
-        if self.values.shape != expected:
-            raise ValidationError(
-                f"surface shape {self.values.shape} does not match grid {expected}"
-            )
 
 
 @dataclass(frozen=True, slots=True)
@@ -299,10 +284,8 @@ def build_grid(
     linearly when it does not. An explicit ``s_max`` is used as given and
     must exceed ``max(spot, strike)``.
     """
-    if not isinstance(n_space, int) or n_space < 4:
-        raise ValidationError(f"n_space must be an int >= 4, got {n_space}")
-    if not isinstance(n_time, int) or n_time < 1:
-        raise ValidationError(f"n_time must be an int >= 1, got {n_time}")
+    _require_count("n_space", n_space, 4)
+    _require_count("n_time", n_time, 1)
     anchor = max(contract.spot, contract.strike)
     if s_max == "auto":
         target = 4.0 * anchor

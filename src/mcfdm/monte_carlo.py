@@ -18,7 +18,14 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ValidationError
-from .model import MarketParams, Method, OptionContract, PricingResult, payoff
+from .model import (
+    MarketParams,
+    Method,
+    OptionContract,
+    PricingResult,
+    _require_count,
+    payoff,
+)
 from .oracle import black_scholes_price
 
 __all__ = ["McConfig", "price_monte_carlo", "sample_terminal_price"]
@@ -32,11 +39,6 @@ _MAX_SEED = 2**64 - 1
 _UNIFORM_BITS = 53
 
 
-def _is_int(value: object) -> bool:
-    # a bool is an int to isinstance, but True is no count of paths
-    return isinstance(value, int) and not isinstance(value, bool)
-
-
 @dataclass(frozen=True, slots=True)
 class McConfig:
     """Simulation configuration."""
@@ -46,16 +48,14 @@ class McConfig:
     n_time_steps: int = 1
 
     def __post_init__(self) -> None:
-        if not _is_int(self.n_paths) or self.n_paths < 1:
-            raise ValidationError(f"n_paths must be an int >= 1, got {self.n_paths}")
-        if not _is_int(self.seed) or not 0 <= self.seed <= _MAX_SEED:
+        _require_count("n_paths", self.n_paths, 1)
+        # a bool is an int to isinstance, but False is no seed
+        is_int = isinstance(self.seed, int) and not isinstance(self.seed, bool)
+        if not is_int or not 0 <= self.seed <= _MAX_SEED:
             raise ValidationError(
                 f"seed must be an int in [0, 2**64 - 1], got {self.seed}"
             )
-        if not _is_int(self.n_time_steps) or self.n_time_steps < 1:
-            raise ValidationError(
-                f"n_time_steps must be an int >= 1, got {self.n_time_steps}"
-            )
+        _require_count("n_time_steps", self.n_time_steps, 1)
 
 
 def sample_terminal_price(
@@ -72,14 +72,14 @@ def sample_terminal_price(
     geometric Brownian motion at every step count. ``normals`` is left
     unchanged.
     """
+    _require_count("n_steps", n_steps, 1)
     z = np.asarray(normals, dtype=float)
     if z.ndim != 2 or z.shape[0] != n_steps:
         raise ValidationError(
             f"normals must have shape ({n_steps}, m), got {z.shape}"
         )
-    positive = all(math.isfinite(x) and x > 0.0 for x in (s0, t_total))
-    if not positive or n_steps < 1:
-        raise ValidationError("s0, t_total must be finite and > 0 and n_steps >= 1")
+    if not all(math.isfinite(x) and x > 0.0 for x in (s0, t_total)):
+        raise ValidationError("s0, t_total must be finite and > 0")
     dt = t_total / n_steps
     st = np.full(z.shape[1], s0, dtype=float)
     for start in range(0, z.shape[0], _CHUNK_ROWS):
@@ -147,8 +147,7 @@ def price_monte_carlo(
     by a thread pool, but the reduction always runs in block order, so the
     result does not depend on ``n_workers``.
     """
-    if not _is_int(n_workers) or n_workers < 1:
-        raise ValidationError(f"n_workers must be an int >= 1, got {n_workers}")
+    _require_count("n_workers", n_workers, 1)
     # the normal transform loads before the clock starts, so a cold first
     # call times its simulation and not the import
     import scipy.special  # noqa: F401

@@ -12,6 +12,7 @@ import json
 import math
 import time
 
+import numpy as np
 import pytest
 
 from mcfdm import (
@@ -30,7 +31,6 @@ from mcfdm import (
     risk_neutral_integral_price,
     solve_crank_nicolson,
     solve_mcfdm,
-    theta_at,
 )
 from mcfdm.cli import (
     JobSpec,
@@ -42,6 +42,8 @@ from mcfdm.cli import (
     run_theta_study,
     run_timing,
 )
+from mcfdm.mean_convection import _theta_values
+from mcfdm.model import _boundaries, _march, _operator
 
 MARKET = MarketParams(r=0.05, sigma=0.25)
 
@@ -138,24 +140,32 @@ def test_criterion_4_theta_identities():
     disc = build_grid(contract)
     nodes = disc.nodes()[1:-1]
 
+    def thetas(config):
+        return _theta_values(MARKET, nodes, disc.ds, config)
+
     expected = MARKET.sigma / (2.0 * disc.ds)
-    for s in nodes:
-        literal = theta_at(MARKET, s, disc.ds, ThetaConfig(normalize=False))
-        assert abs(literal - expected) <= 1e-12 * expected
-        assert abs(theta_at(MARKET, s, disc.ds, ThetaConfig()) - 1.0) <= 1e-12
+    literal = thetas(ThetaConfig(normalize=False))
+    assert (abs(literal - expected) <= 1e-12 * expected).all()
+    assert (abs(thetas(ThetaConfig()) - 1.0) <= 1e-12).all()
 
-    base = [theta_at(MARKET, s, disc.ds, ThetaConfig(scaling=1.0)) for s in nodes]
+    base = thetas(ThetaConfig(scaling=1.0))
     for k in (0.25, 0.5, 2.0, 7.0):
-        for s, unit in zip(nodes, base):
-            assert theta_at(MARKET, s, disc.ds, ThetaConfig(scaling=k)) == k * unit
+        assert (thetas(ThetaConfig(scaling=k)) == k * base).all()
 
-    disabled = solve_mcfdm(
-        contract, MARKET, disc, include_convection=False, keep_surface=True
+    # scaling 0 marches exactly as bands built with no convection term
+    s = disc.nodes()
+    _, disabled, _ = _march(
+        payoff(contract, s),
+        _operator(MARKET, nodes, np.zeros_like(nodes), disc.ds),
+        _boundaries(contract, MARKET, disc),
+        disc.dt,
+        0.0,
+        keep_surface=True,
     )
     zeroed = solve_mcfdm(
         contract, MARKET, disc, ThetaConfig(scaling=0.0), keep_surface=True
     )
-    gap = abs(zeroed.surface.values - disabled.surface.values).max()
+    gap = abs(zeroed.surface - disabled).max()
     assert gap <= 1e-14
 
     vanishing = call(5.0, 5.5, 1e-12)
@@ -176,8 +186,8 @@ def test_criterion_5_cn_baseline():
     assert coarse_time.dt >= 100.0 * max_stable_dt(MARKET, coarse_time, ThetaConfig())
     surface = crank_nicolson_surface(benchmark, MARKET, coarse_time)
     cap = coarse_time.s_max - 7.5 * math.exp(-0.05)
-    assert surface.values.min() >= -1e-12
-    assert surface.values.max() <= cap + 1e-9
+    assert surface.min() >= -1e-12
+    assert surface.max() <= cap + 1e-9
 
     errors = []
     for n_space in (50, 100, 200):
@@ -238,7 +248,7 @@ def test_criterion_8_theta_study_pins():
         pinned, MARKET, build_grid(pinned), ThetaConfig(scaling=30.0),
         allow_unstable=True,
     )
-    assert flagged.oscillation is True
+    assert flagged.result.extra["oscillation"] is True
 
     with pytest.raises(StabilityError):
         solve_mcfdm(pinned, MARKET, build_grid(pinned), ThetaConfig(scaling=80.0))

@@ -167,6 +167,20 @@ class TestRunTable:
         assert _exit_code(report) == 3
         assert "ERROR[stability]" in report.to_text()
 
+    @pytest.mark.parametrize("theta_scale", [1.0, 30.0])
+    def test_mcfdm_row_metadata_carries_the_solver_diagnostics(self, theta_scale):
+        # the JSON row repeats the solver's cfl_margin and oscillation flag;
+        # k = 30 on this put oscillates
+        job = small_job(method="MCFDM", kind="put", theta_scale=theta_scale)
+        (row,) = json.loads(run_table([1.0], job).to_json())["rows"]
+        c = OptionContract(kind=OptionKind.PUT, strike=5.5, maturity=1.0, spot=5.0)
+        extra = solve_mcfdm(
+            c, MarketParams(r=0.05, sigma=0.25), build_grid(c), ThetaConfig(theta_scale)
+        ).result.extra
+        assert row["metadata"]["cfl_margin"] == extra["cfl_margin"]
+        assert row["metadata"]["oscillation"] is extra["oscillation"]
+        assert extra["oscillation"] is (theta_scale == 30.0)
+
     def test_empty_maturity_list_rejected(self):
         with pytest.raises(ValidationError):
             run_table([], small_job())
@@ -560,6 +574,30 @@ class TestMain:
         data = [l for l in lines if not l.startswith("# ")]
         assert data[0] == CSV_HEADER
         assert data[1].startswith("MonteCarlo,")
+
+    @pytest.mark.parametrize("where", ["missing-parent", "directory"])
+    def test_out_that_cannot_be_written_exits_one_before_rows_run(
+        self, tmp_path, monkeypatch, capsys, where
+    ):
+        for engine in _ENGINES:
+            monkeypatch.setattr(f"mcfdm.cli.{engine}", _fail_if_called)
+        out = tmp_path / "no" / "r.json" if where == "missing-parent" else tmp_path
+        assert main(["price", "--method", "exact", "--out", str(out)]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: --out ")
+        assert captured.err.count("\n") == 1
+
+    def test_failed_write_is_a_one_line_error(self, tmp_path, monkeypatch, capsys):
+        def refuse(*args, **kwargs):
+            raise PermissionError(13, "Permission denied")
+
+        monkeypatch.setattr("mcfdm.cli.Path.write_text", refuse)
+        target = tmp_path / "r.json"
+        assert main(["price", "--method", "exact", "--out", str(target)]) == 1
+        captured = capsys.readouterr()
+        assert captured.err == "error: cannot write the report: [Errno 13] Permission denied\n"
+        assert not target.exists()
 
     def test_method_aliases_accepted(self, capsys):
         assert main(["price", "--method", "cn", "--format", "csv"]) == 0

@@ -19,10 +19,9 @@ from mcfdm import (
     max_stable_dt,
     payoff,
     solve_mcfdm,
-    theta_at,
 )
 from mcfdm.mean_convection import _theta_values
-from mcfdm.model import _march, _operator
+from mcfdm.model import _boundaries, _march, _operator
 
 CALL = OptionKind.CALL
 PUT = OptionKind.PUT
@@ -60,16 +59,18 @@ class TestThetaConfig:
 
 
 class TestThetaAt:
+    """The tuning factor at cell centers, from ``_theta_values``."""
+
     def test_constant_profile_literal_value(self):
         # constant integrand makes the cell integral exact: theta = alpha/(2 ds)
-        value = theta_at(market(), 5.0, 0.1, ThetaConfig(normalize=False))
+        config = ThetaConfig(normalize=False)
+        value = _theta_values(market(), np.array([5.0]), 0.1, config)[0]
         assert value == pytest.approx(0.25 / 0.2, abs=1e-12)
 
     def test_constant_profile_normalized_is_one(self):
         for s, ds in ((5.0, 0.1), (1.0, 0.25), (14.0, 0.5)):
-            assert theta_at(market(), s, ds, ThetaConfig()) == pytest.approx(
-                1.0, abs=1e-15
-            )
+            value = _theta_values(market(), np.array([s]), ds, ThetaConfig())[0]
+            assert value == pytest.approx(1.0, abs=1e-15)
 
     def test_constant_profile_normalized_is_exactly_k_at_low_vol(self):
         # 1/0.1 is inexact in binary, so summing samples of 1/alpha would
@@ -89,12 +90,14 @@ class TestThetaAt:
         config = ThetaConfig(normalize=False)
         for s, ds in ((5.0, 0.1), (0.06, 0.1)):
             expected = 0.25 / (2.0 * math.log((s + 0.5 * ds) / (s - 0.5 * ds)))
-            assert theta_at(m, s, ds, config) == pytest.approx(expected, rel=1e-12)
-        assert theta_at(m, 5.0, 0.1, config) == pytest.approx(6.24979, abs=1e-5)
+            value = _theta_values(m, np.array([s]), ds, config)[0]
+            assert value == pytest.approx(expected, rel=1e-12)
+        value = _theta_values(m, np.array([5.0]), 0.1, config)[0]
+        assert value == pytest.approx(6.24979, abs=1e-5)
 
     def test_proportional_normalized_near_one(self):
         m = market(profile=AlphaProfile.PROPORTIONAL)
-        value = theta_at(m, 5.0, 0.1, ThetaConfig())
+        value = _theta_values(m, np.array([5.0]), 0.1, ThetaConfig())[0]
         assert value == pytest.approx(1.0, abs=1e-3)
 
     @given(
@@ -105,17 +108,10 @@ class TestThetaAt:
     )
     def test_scaling_linearity_exact(self, k, s, ds, normalize):
         m = market(profile=AlphaProfile.PROPORTIONAL)
-        base = theta_at(m, s, ds, ThetaConfig(scaling=1.0, normalize=normalize))
-        scaled = theta_at(m, s, ds, ThetaConfig(scaling=k, normalize=normalize))
-        assert scaled == k * base
-
-    def test_cell_below_zero_rejected(self):
-        with pytest.raises(ValidationError):
-            theta_at(market(), 0.05, 0.2, ThetaConfig())
-
-    def test_nonpositive_ds_rejected(self):
-        with pytest.raises(ValidationError):
-            theta_at(market(), 5.0, 0.0, ThetaConfig())
+        nodes = np.array([s])
+        base = _theta_values(m, nodes, ds, ThetaConfig(1.0, normalize))
+        scaled = _theta_values(m, nodes, ds, ThetaConfig(k, normalize))
+        assert scaled[0] == k * base[0]
 
 
 class TestConvectionFluxDifference:
@@ -191,7 +187,7 @@ class TestExplicitStep:
         c = contract(maturity=tau)
         report = solve_mcfdm(c, market(), disc, keep_surface=True)
         for n in (1, 37):
-            out = report.surface.values[n]
+            out = report.surface[n]
             assert out[0] == 0.0
             assert out[-1] == pytest.approx(
                 10.0 - 5.5 * math.exp(-0.05 * n * 0.01), abs=1e-12
@@ -256,8 +252,8 @@ class TestSolveMcfdm:
         report = solve_mcfdm(c, market(), build_grid(c))
         assert report.result.price == pytest.approx(0.63791, abs=5e-3)
         assert report.result.abs_error <= 5e-3
-        assert report.cfl_margin > 1.0
-        assert not report.oscillation
+        assert report.result.extra["cfl_margin"] > 1.0
+        assert not report.result.extra["oscillation"]
 
     def test_put_half_year_vs_oracle(self):
         c = contract(kind=PUT, strike=7.5, maturity=0.5, spot=7.0)
@@ -282,7 +278,7 @@ class TestSolveMcfdm:
         report = solve_mcfdm(
             c, market(), build_grid(c, n_time=300), allow_unstable=True
         )
-        assert report.cfl_margin < 1.0
+        assert report.result.extra["cfl_margin"] < 1.0
 
     def test_halving_both_steps_does_not_increase_error(self):
         c = contract(strike=7.5, spot=7.0)
@@ -299,34 +295,40 @@ class TestSolveMcfdm:
         assert abs(c - p - gap) <= 5e-3
 
     def test_zero_scaling_equals_hard_disabled_convection(self):
+        # the march on bands built with no convection term at all
         c = contract(kind=PUT)
         disc = build_grid(c)
         scaled = solve_mcfdm(
             c, market(), disc, ThetaConfig(scaling=0.0), keep_surface=True
         )
-        disabled = solve_mcfdm(
-            c, market(), disc, include_convection=False, keep_surface=True
+        s = disc.nodes()
+        bands = _operator(market(), s[1:-1], np.zeros(disc.n_space - 1), disc.ds)
+        final, disabled, _ = _march(
+            payoff(c, s),
+            bands,
+            _boundaries(c, market(), disc),
+            disc.dt,
+            0.0,
+            keep_surface=True,
         )
-        diff = np.abs(scaled.surface.values - disabled.surface.values).max()
-        assert diff <= 1e-14
-        assert scaled.result.price == disabled.result.price
+        assert np.abs(scaled.surface - disabled).max() <= 1e-14
+        assert scaled.result.price == float(np.interp(c.spot, s, final))
 
     def test_surface_is_nonnegative_and_shaped(self):
         c = contract(strike=7.5, spot=7.0)
         disc = build_grid(c)
         report = solve_mcfdm(c, market(), disc, keep_surface=True)
-        assert report.surface.values.shape == (disc.n_time + 1, disc.n_space + 1)
-        assert report.surface.values.min() >= 0.0
-        np.testing.assert_allclose(
-            report.surface.values[0], payoff(c, disc.nodes()), atol=1e-15
-        )
+        assert report.surface.shape == (disc.n_time + 1, disc.n_space + 1)
+        assert report.surface.min() >= 0.0
+        np.testing.assert_allclose(report.surface[0], payoff(c, disc.nodes()), atol=1e-15)
 
     def test_theta_values_cover_interior(self):
+        # one tuning factor per interior node, 1 for a constant profile
         c = contract()
         disc = build_grid(c)
-        report = solve_mcfdm(c, market(), disc)
-        assert report.theta_values.shape == (disc.n_space - 1,)
-        np.testing.assert_allclose(report.theta_values, 1.0, atol=1e-12)
+        thetas = _theta_values(market(), disc.nodes()[1:-1], disc.ds, ThetaConfig())
+        assert thetas.shape == (disc.n_space - 1,)
+        np.testing.assert_allclose(thetas, 1.0, atol=1e-12)
 
     def test_proportional_profile_prices_close_to_constant(self):
         c = contract(strike=7.5, spot=7.0)
@@ -341,7 +343,21 @@ class TestSolveMcfdm:
         # regression pin: k=30 on the default put grid oscillates
         c = contract(kind=PUT)
         report = solve_mcfdm(c, market(), build_grid(c), ThetaConfig(scaling=30.0))
-        assert report.oscillation
+        assert report.result.extra["oscillation"]
+
+    @pytest.mark.parametrize("profile", list(AlphaProfile))
+    @pytest.mark.parametrize("config", [
+        ThetaConfig(),
+        ThetaConfig(scaling=0.0),
+        ThetaConfig(scaling=2.0, normalize=False),
+    ])
+    def test_cfl_margin_is_the_stable_step_over_dt(self, profile, config):
+        # one stability computation: the solver's margin is max_stable_dt / dt
+        c = contract(kind=PUT, strike=7.5, spot=7.0)
+        m = market(profile=profile)
+        disc = build_grid(c)
+        report = solve_mcfdm(c, m, disc, config, allow_unstable=True)
+        assert report.result.extra["cfl_margin"] == max_stable_dt(m, disc, config) / disc.dt
 
     def test_pinned_very_large_scaling_violates_stability(self):
         # regression pin: k=80 pushes the CFL bound below the default dt

@@ -11,7 +11,6 @@ from mcfdm import (
     MarketParams,
     OptionContract,
     OptionKind,
-    PriceSurface,
     PricingResult,
     ValidationError,
     build_grid,
@@ -159,6 +158,17 @@ class TestBuildGrid:
         with pytest.raises(ValidationError):
             build_grid(make_contract(), n_space=100, n_time=1000, s_max=5.0)
 
+    @pytest.mark.parametrize("kwargs", [
+        {"n_time": True},
+        {"n_space": True},
+        {"n_time": 0},
+        {"n_space": 3},
+        {"n_time": 10.0},
+    ])
+    def test_counts_that_are_no_int_rejected(self, kwargs):
+        with pytest.raises(ValidationError, match="must be an int >= "):
+            build_grid(make_contract(), **kwargs)
+
     def test_dt_is_maturity_over_n_time(self):
         disc = build_grid(make_contract(maturity=0.5), n_space=50, n_time=200)
         assert disc.dt == pytest.approx(0.0025, abs=1e-15)
@@ -188,25 +198,14 @@ class TestDiscretization:
         with pytest.raises(ValidationError):
             Discretization(s_max=3.0, n_space=3, n_time=5, ds=1.0, dt=0.1)
 
+    @pytest.mark.parametrize("n_time", [True, False, 1.0])
+    def test_n_time_that_is_no_int_rejected(self, n_time):
+        with pytest.raises(ValidationError, match="n_time must be an int >= 1"):
+            Discretization(s_max=10.0, n_space=10, n_time=n_time, ds=1.0, dt=0.1)
+
     def test_nodes_are_uniform(self):
         disc = Discretization(s_max=10.0, n_space=10, n_time=5, ds=1.0, dt=0.1)
         np.testing.assert_allclose(disc.nodes(), np.arange(11.0), atol=1e-15)
-
-
-class TestPriceSurface:
-    def test_shape_validated(self):
-        disc = Discretization(s_max=10.0, n_space=10, n_time=5, ds=1.0, dt=0.1)
-        with pytest.raises(ValidationError):
-            PriceSurface(values=np.zeros((3, 11)), disc=disc)
-
-    def test_level_and_nonnegativity(self):
-        disc = Discretization(s_max=10.0, n_space=10, n_time=2, ds=1.0, dt=0.1)
-        values = np.ones((3, 11))
-        surface = PriceSurface(values=values, disc=disc)
-        np.testing.assert_array_equal(surface.values[1], np.ones(11))
-        assert surface.values.min() >= 0.0
-        values[2, 4] = -1e-3
-        assert not PriceSurface(values=values, disc=disc).values.min() >= 0.0
 
 
 class TestPricingResult:

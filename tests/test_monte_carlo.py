@@ -95,6 +95,9 @@ class TestSampleTerminalPrice:
         for s0, t_total in [(math.nan, 1.0), (math.inf, 1.0), (1.0, math.nan), (1.0, math.inf)]:
             with pytest.raises(ValidationError, match="finite"):
                 sample_terminal_price(market(), s0, t_total, 1, np.zeros((1, 2)))
+        for n_steps, shape in [(True, (1, 2)), (0, (0, 2)), (1.0, (1, 2))]:
+            with pytest.raises(ValidationError, match="n_steps must be an int >= 1"):
+                sample_terminal_price(market(), 1.0, 1.0, n_steps, np.zeros(shape))
 
     def test_normals_are_left_unchanged(self):
         normals = np.random.default_rng(4).standard_normal((40, 16))
