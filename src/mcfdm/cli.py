@@ -22,10 +22,9 @@ import os
 import statistics
 import sys
 import time
-from dataclasses import asdict, dataclass, field, fields
+from dataclasses import asdict, dataclass, field, fields, replace
 from datetime import datetime, timezone
 from functools import partial
-from itertools import product
 from pathlib import Path
 from typing import Any, Callable, Sequence, get_type_hints
 
@@ -167,8 +166,13 @@ class JobSpec:
                 *head, last = map(repr, words)
                 allowed = ", ".join(head) + ("," if head[1:] else "") + f" or {last}"
                 raise ValidationError(f"{name} must be {allowed}, got {value!r}")
-        if isinstance(self.s_max, str) and self.s_max != "auto":
-            raise ValidationError(f"s_max must be 'auto' or a number, got {self.s_max!r}")
+        if isinstance(self.s_max, str):
+            if self.s_max != "auto":
+                raise ValidationError(f"s_max must be 'auto' or a number, got {self.s_max!r}")
+        # checked for every method, not only where a grid is built, so that
+        # no report echoes a bound no grid can use (NaN and inf are not JSON)
+        elif not math.isfinite(self.s_max) or self.s_max <= 0.0:
+            raise ValidationError(f"s_max must be finite and > 0, got {self.s_max}")
 
 
 _JOB_HINTS = get_type_hints(JobSpec)
@@ -224,17 +228,10 @@ class TableReport:
             "provenance": self.provenance,
             "rows": [
                 {
-                    "method": row.method,
-                    "maturity_years": row.maturity_years,
-                    "price": row.price,
-                    "abs_error": row.abs_error,
+                    **asdict(row),
                     "abs_error_text": None
                     if row.abs_error is None
                     else format_error(row.abs_error),
-                    "elapsed_seconds": row.elapsed_seconds,
-                    "metadata": row.metadata,
-                    "error": row.error,
-                    "error_kind": row.error_kind,
                 }
                 for row in self.rows
             ],
@@ -309,10 +306,8 @@ def _notes(meta: dict[str, Any]) -> str:
     return " ".join(parts)
 
 
-def _mc_steps(job: JobSpec, *, timing: bool) -> int:
-    if job.mc_steps is not None:
-        return job.mc_steps
-    return job.n_time if timing else 1
+def _mc_steps(job: JobSpec) -> int:
+    return 1 if job.mc_steps is None else job.mc_steps
 
 
 def _exact(contract: OptionContract, market: MarketParams) -> PricingResult:
@@ -346,69 +341,46 @@ class _Row:
     solve: Callable[[], PricingResult]
 
 
-def _plan(
-    job: JobSpec,
-    methods: Sequence[str],
-    maturities: Sequence[float],
-    *,
-    grids: Sequence[tuple[int, int]] | None = None,
-    scalings: Sequence[float] = (),
-    timing: bool = False,
-) -> list[_Row]:
-    """Build every row's inputs, then one solve per row, method-major.
+def _plan(methods: Sequence[str], jobs: Sequence[JobSpec]) -> list[_Row]:
+    """One row per (method, job), method-major, each solving its own job.
 
-    The market, θ and Monte Carlo configs are built once per job, the
-    contract once per maturity and the grid once per (maturity, grid), and
-    the rows share them. Building them is the validation: bad input raises
-    ``ValidationError`` here, before any row runs. The Monte Carlo config is
-    built only when Monte Carlo runs, and grids only when a grid engine runs
-    or ``grids`` is given (convergence rows report each grid's ``ds``).
+    Each input is built for every job before the next one: market, θ config,
+    contract, grid (only when a grid engine runs), then Monte Carlo config
+    (only when Monte Carlo runs). Building them is the validation: bad input
+    raises ``ValidationError`` here, before any row runs.
     """
-    market = MarketParams(
-        r=job.rate, sigma=job.vol, alpha_profile=AlphaProfile(job.alpha)
-    )
-    normalize = job.theta_mode == "normalized"
-    theta = ThetaConfig(scaling=job.theta_scale, normalize=normalize)
-    thetas = [ThetaConfig(scaling=k, normalize=normalize) for k in scalings]
-    contracts = {
-        maturity: OptionContract(
-            kind=OptionKind(job.kind),
-            strike=job.strike,
-            maturity=maturity,
-            spot=job.spot,
-        )
-        for maturity in maturities
-    }
-    grid_list = [tuple(g) for g in grids] if grids else [(job.n_space, job.n_time)]
-    discs = {}
-    if grids is not None or not {"MCFDM", "CFDM"}.isdisjoint(methods):
-        discs = {
-            (maturity, grid): build_grid(contract, *grid, s_max=job.s_max)
-            for maturity, contract in contracts.items()
-            for grid in grid_list
-        }
+    markets = [
+        MarketParams(r=job.rate, sigma=job.vol, alpha_profile=AlphaProfile(job.alpha))
+        for job in jobs
+    ]
+    thetas = [
+        ThetaConfig(scaling=job.theta_scale, normalize=job.theta_mode == "normalized")
+        for job in jobs
+    ]
+    contracts = [
+        OptionContract(OptionKind(job.kind), job.strike, job.maturity, job.spot)
+        for job in jobs
+    ]
+    discs = mcs = [None] * len(jobs)
+    if not {"MCFDM", "CFDM"}.isdisjoint(methods):
+        discs = [
+            build_grid(contract, job.n_space, job.n_time, s_max=job.s_max)
+            for contract, job in zip(contracts, jobs)
+        ]
     if "MonteCarlo" in methods:
-        mc = McConfig(
-            n_paths=job.paths,
-            seed=job.seed,
-            n_time_steps=_mc_steps(job, timing=timing),
-        )
+        mcs = [McConfig(job.paths, job.seed, _mc_steps(job)) for job in jobs]
     rows = []
-    for method, maturity, grid, config in product(
-        methods, maturities, grid_list, thetas or [theta]
-    ):
-        contract, disc = contracts[maturity], discs.get((maturity, grid))
-        if method == "Exact":
-            solve = partial(_exact, contract, market)
-        elif method == "MonteCarlo":
-            solve = partial(price_monte_carlo, contract, market, mc)
-        elif method == "CFDM":
-            solve = partial(solve_crank_nicolson, contract, market, disc)
-        else:
-            solve = partial(
-                _mcfdm, contract, market, disc, config, job.allow_unstable
-            )
-        rows.append(_Row(method, maturity, disc, solve))
+    for method in methods:
+        for job, market, theta, c, disc, mc in zip(
+            jobs, markets, thetas, contracts, discs, mcs
+        ):
+            solve = {
+                "Exact": partial(_exact, c, market),
+                "MonteCarlo": partial(price_monte_carlo, c, market, mc),
+                "CFDM": partial(solve_crank_nicolson, c, market, disc),
+                "MCFDM": partial(_mcfdm, c, market, disc, theta, job.allow_unstable),
+            }[method]
+            rows.append(_Row(method, job.maturity, disc, solve))
     return rows
 
 
@@ -470,7 +442,7 @@ def _provenance(
     ``sys.modules``, so that writing it loads nothing.
     """
     echo = asdict(job)
-    echo["mc_steps"] = _mc_steps(job, timing=extra.get("subcommand") == "timing")
+    echo["mc_steps"] = _mc_steps(job)
     scipy = None
     if not {"CFDM", "MonteCarlo"}.isdisjoint(row.method for row in rows):
         scipy = sys.modules.get("scipy")
@@ -510,7 +482,8 @@ def run_table(maturities: Sequence[float], job: JobSpec) -> TableReport:
     maturities = _numbers(maturities, "maturity")
     # rows run one at a time so that each row's elapsed_seconds times its
     # solve alone
-    rows = [_solve_row(row) for row in _plan(job, _methods_for(job), maturities)]
+    jobs = [replace(job, maturity=maturity) for maturity in maturities]
+    rows = [_solve_row(row) for row in _plan(_methods_for(job), jobs)]
     return TableReport(
         provenance=_provenance(job, rows, subcommand="table", maturities=maturities),
         rows=tuple(rows),
@@ -526,9 +499,9 @@ def run_timing(job: JobSpec, repeats: int = 5) -> TableReport:
     """
     if not _fits(repeats, int) or repeats < 3:
         raise ValidationError(f"repeats must be an int >= 3, got {repeats!r}")
-    plan = _plan(
-        job, _methods_for(job, numerical_only=True), [job.maturity], timing=True
-    )
+    if job.mc_steps is None:
+        job = replace(job, mc_steps=job.n_time)
+    plan = _plan(_methods_for(job, numerical_only=True), [job])
     rows = [_solve_row(row, repeats) for row in plan]
     return TableReport(
         provenance=_provenance(job, rows, subcommand="timing", repeats=repeats),
@@ -539,8 +512,11 @@ def run_timing(job: JobSpec, repeats: int = 5) -> TableReport:
 def run_theta_study(scalings: Sequence[float], job: JobSpec) -> TableReport:
     """One MCFDM row per scaling k, sorted by k, with oscillation flags."""
     ordered = sorted(_numbers(scalings, "scaling"))
-    # the study always runs MCFDM, whatever the base job selects
-    plan = _plan(job, ["MCFDM"], [job.maturity], scalings=ordered)
+    jobs = [replace(job, theta_scale=scaling) for scaling in ordered]
+    # the study always runs MCFDM, whatever the base job selects; the base
+    # job, whose θ the provenance echoes, is planned first to check it and
+    # is not run
+    plan = _plan(["MCFDM"], [job, *jobs])[1:]
     rows = tuple(_solve_row(row) for row in plan)
     return TableReport(
         provenance=_provenance(job, rows, subcommand="theta-study", scalings=ordered),
@@ -568,9 +544,15 @@ def run_convergence(
             raise ValidationError(f"grid must be a pair of ints, got {grid!r}")
     if job.method == "All":
         raise ValidationError("convergence runs a single method; pick one")
+    if job.method not in ("MCFDM", "CFDM"):
+        raise ValidationError(
+            f"convergence refines a grid, which {job.method} does not use; "
+            "pick mcfdm or cfdm"
+        )
+    jobs = [replace(job, n_space=ns, n_time=nt) for ns, nt in grids]
     rows: list[ReportRow] = []
     previous: ReportRow | None = None
-    for planned in _plan(job, [job.method], [job.maturity], grids=grids):
+    for planned in _plan([job.method], jobs):
         row = _solve_row(planned)
         rows.append(row)
         if row.error is not None:
@@ -607,9 +589,11 @@ def _fits(value: Any, hint: Any) -> bool:
 def jobspec_from_report(report: dict[str, Any]) -> JobSpec:
     """Rebuild the job from a parsed JSON report's provenance echo."""
     try:
-        echo = dict(report["provenance"]["job"])
+        echo = report["provenance"]["job"]
     except (KeyError, TypeError) as exc:
         raise ValidationError("report lacks a provenance.job block") from exc
+    if not isinstance(echo, dict):
+        raise ValidationError(f"provenance.job must be a JSON object, got {echo!r}")
     unknown = set(echo) - set(_JOB_HINTS)
     if unknown:
         raise ValidationError(f"unknown job fields in report: {sorted(unknown)}")

@@ -10,6 +10,7 @@ import pytest
 
 import mcfdm
 from mcfdm import (
+    AlphaProfile,
     MarketParams,
     OptionContract,
     OptionKind,
@@ -17,6 +18,7 @@ from mcfdm import (
     ValidationError,
     black_scholes_price,
     build_grid,
+    solve_crank_nicolson,
     solve_mcfdm,
 )
 from mcfdm.cli import (
@@ -49,6 +51,22 @@ def oracle_for(job: JobSpec, maturity: float) -> float:
         maturity=maturity, spot=job.spot,
     )
     return black_scholes_price(contract, MarketParams(r=job.rate, sigma=job.vol))
+
+
+def direct_price(job: JobSpec) -> float:
+    """The price of the job's grid engine, solved without the CLI."""
+    contract = OptionContract(
+        kind=OptionKind(job.kind), strike=job.strike,
+        maturity=job.maturity, spot=job.spot,
+    )
+    market = MarketParams(
+        r=job.rate, sigma=job.vol, alpha_profile=AlphaProfile(job.alpha)
+    )
+    disc = build_grid(contract, job.n_space, job.n_time, s_max=job.s_max)
+    if job.method == "CFDM":
+        return solve_crank_nicolson(contract, market, disc).price
+    theta = ThetaConfig(job.theta_scale, normalize=job.theta_mode == "normalized")
+    return solve_mcfdm(contract, market, disc, theta).result.price
 
 
 class TestFormatError:
@@ -244,6 +262,16 @@ class TestRunThetaStudy:
         with pytest.raises(ValidationError):
             run_theta_study([1.0, -0.5], small_job())
 
+    def test_each_row_solves_its_own_scaling(self):
+        job = small_job(
+            method="MCFDM", kind="put", spot=7.0, strike=7.5, theta_mode="literal"
+        )
+        report = run_theta_study([2.0, 0.0, 0.5], job)
+        assert [r.price for r in report.rows] == [
+            direct_price(dataclasses.replace(job, theta_scale=k))
+            for k in (0.0, 0.5, 2.0)
+        ]
+
     def test_oscillation_flag_reaches_the_report(self):
         job = small_job(kind="put")
         report = run_theta_study([30.0], job)
@@ -255,6 +283,20 @@ class TestRunConvergence:
     def test_all_method_rejected(self):
         with pytest.raises(ValidationError):
             run_convergence([(50, 2000)], small_job(method="All"))
+
+    @pytest.mark.parametrize("method", ["MCFDM", "CFDM"])
+    def test_each_row_solves_its_own_grid(self, method):
+        job = small_job(
+            method=method, kind="put", spot=7.0, strike=7.5, maturity=0.5,
+            theta_scale=2.0, theta_mode="literal", alpha="proportional",
+        )
+        grids = [(50, 500), (100, 1000), (80, 700)]
+        report = run_convergence(grids, job)
+        assert [r.error for r in report.rows] == [None] * 3
+        assert [r.price for r in report.rows] == [
+            direct_price(dataclasses.replace(job, n_space=ns, n_time=nt))
+            for ns, nt in grids
+        ]
 
     def test_orders_appear_after_the_first_refinement(self):
         job = small_job(
@@ -305,9 +347,11 @@ def _fail_if_called(*args, **kwargs):
         lambda: run_theta_study([0.5, 1.0], small_job(theta_scale=-1.0)),
         lambda: run_table([1.0], small_job(method="CFDM", theta_scale=-1.0)),
         lambda: run_table([1.0], small_job(method="MonteCarlo", paths=0)),
+        lambda: run_convergence([(50, 400)], small_job(method="MonteCarlo")),
+        lambda: run_convergence([(50, 400)], small_job(method="Exact")),
     ],
     ids=["table-last-maturity", "convergence-grid", "theta-study-base-scale",
-         "cfdm-theta-scale", "mc-paths"],
+         "cfdm-theta-scale", "mc-paths", "convergence-mc", "convergence-exact"],
 )
 def test_bad_input_fails_before_any_row_runs(monkeypatch, run):
     for engine in _ENGINES:
@@ -457,6 +501,15 @@ class TestReportFormats:
         assert run_theta_study([1.0], JobSpec()).provenance["scipy"] is None
         assert run_table([1.0], JobSpec(method="MCFDM")).provenance["scipy"] is None
 
+    @pytest.mark.parametrize(
+        "report",
+        [{"provenance": {"job": "xy"}}, {"provenance": {"job": [["spot", 7.0]]}}],
+        ids=["string", "pairs"],
+    )
+    def test_provenance_job_that_is_no_object_is_rejected(self, report):
+        with pytest.raises(ValidationError, match="provenance.job must be a JSON object"):
+            jobspec_from_report(report)
+
     def test_jobspec_rejects_unknown_provenance_fields(self):
         payload = json.loads(run_table([1.0], small_job(method="Exact")).to_json())
         payload["provenance"]["job"]["stencil"] = "upwind"
@@ -474,6 +527,11 @@ class TestReportFormats:
             ("vol", None),
             ("spot", True),
             ("mc_steps", 2.5),
+            # an Exact job builds no grid, so only the job check sees these
+            ("s_max", math.nan),
+            ("s_max", math.inf),
+            ("s_max", -3.0),
+            ("s_max", 0),
         ],
     )
     def test_replayed_field_of_the_wrong_type_is_rejected(self, name, value):
@@ -615,6 +673,26 @@ class TestMain:
         ]
         maturities = [row[1] for row in csv.reader(data[1:])]
         assert maturities == ["0.25", "0.5", "1"]
+
+    @pytest.mark.parametrize("method", ["mc", "exact"])
+    def test_convergence_of_an_engine_without_a_grid_exits_one(
+        self, monkeypatch, capsys, method
+    ):
+        # Monte Carlo and the closed form ignore the grid: a ladder shows nothing
+        for engine in _ENGINES:
+            monkeypatch.setattr(f"mcfdm.cli.{engine}", _fail_if_called)
+        assert main(["convergence", "--method", method]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: convergence refines a grid")
+
+    @pytest.mark.parametrize("s_max", ["nan", "inf", "-3"])
+    def test_s_max_flag_that_is_not_finite_and_positive_exits_one(self, capsys, s_max):
+        argv = ["price", "--method", "exact", "--s-max", s_max, "--format", "json"]
+        assert main(argv) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: s_max must be finite and > 0")
 
     def test_bad_grid_token_exits_one(self, capsys):
         assert main(["convergence", "--grid", "bogus"]) == 1
