@@ -392,6 +392,9 @@ def _error_kind(exc: McfdmError) -> str:
     return "solver"
 
 
+# a diverging march overflows into NaN, which the row records as its error,
+# so numpy's warnings would only repeat it on stderr
+@np.errstate(over="ignore", invalid="ignore")
 def _solve_row(row: _Row, repeats: int | None = None) -> ReportRow:
     """Run one planned row, capturing failures in the report row.
 

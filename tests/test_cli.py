@@ -743,6 +743,19 @@ class TestMain:
         assert proc.stdout.strip() == f"mcfdm {mcfdm.__version__}"
         assert "RuntimeWarning" not in proc.stderr
 
+    def test_diverging_march_prints_no_runtime_warning(self, fresh_python):
+        # k = 30 at 400 nodes overflows into NaN; the report records the
+        # failed row, and numpy's warnings stay off stderr
+        proc = fresh_python(
+            "-m", "mcfdm.cli", "price", "--method", "mcfdm", "--theta-scale", "30",
+            "--allow-unstable", "--n-space", "400", "--format", "json",
+        )
+        assert proc.returncode == 2
+        assert "RuntimeWarning" not in proc.stderr
+        (row,) = json.loads(proc.stdout)["rows"]
+        assert row["price"] is None
+        assert row["error"] == "solver returned a non-finite price nan"
+
 
 # runs in a fresh interpreter: which scipy modules are loaded after
 # importing the CLI, and after one first call of an engine

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -279,6 +280,20 @@ class TestSolveMcfdm:
             c, market(), build_grid(c, n_time=300), allow_unstable=True
         )
         assert report.result.extra["cfl_margin"] < 1.0
+
+    def test_march_memory_peak_is_bounded(self):
+        # the 400-node rung of a convergence ladder: its surface would take
+        # 34 MB, while the march keeps a 106 kB ring of 33 levels
+        c = contract(kind=PUT, strike=7.5, spot=7.0)
+        m = market(r=0.1)
+        solve_mcfdm(c, m, build_grid(c, n_space=400, n_time=10543, s_max=28.0))
+        tracemalloc.start()
+        try:
+            solve_mcfdm(c, m, build_grid(c, n_space=400, n_time=10543, s_max=28.0))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak / 2**20 < 1.0
 
     def test_halving_both_steps_does_not_increase_error(self):
         c = contract(strike=7.5, spot=7.0)

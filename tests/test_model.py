@@ -16,7 +16,9 @@ from mcfdm import (
     build_grid,
     payoff,
 )
-from mcfdm.model import Method, _boundaries
+from mcfdm import model
+from mcfdm.mean_convection import ThetaConfig, _theta_values
+from mcfdm.model import OSCILLATION_TOLERANCE, Method, _boundaries, _march, _operator
 
 CALL = OptionKind.CALL
 PUT = OptionKind.PUT
@@ -138,6 +140,147 @@ class TestBoundaryValue:
         assert upper[0] == pytest.approx(
             payoff(contract, disc.s_max), abs=1e-9 * disc.s_max
         )
+
+
+def reference_march(level, bands, boundaries, dt, time_weight, *, keep_surface):
+    """The march one level at a time, each step in a new array and scanned
+    on its own: the loop the ring march replaced, kept as its reference."""
+    from scipy.linalg.lapack import dgttrf, dgttrs
+
+    lower, center, upper = bands
+    bc_lower, bc_upper = boundaries
+    explicit_dt = (1.0 - time_weight) * dt
+    e_lower = explicit_dt * lower
+    e_center = 1.0 + explicit_dt * center
+    e_upper = explicit_dt * upper
+    implicit = time_weight > 0.0
+    if implicit:
+        implicit_dt = time_weight * dt
+        i_lower = implicit_dt * lower
+        i_upper = implicit_dt * upper
+        *factors, _ = dgttrf(-i_lower[1:], 1.0 - implicit_dt * center, -i_upper[:-1])
+    v = level
+    levels = np.empty((bc_lower.size + 1, v.size)) if keep_surface else None
+    if keep_surface:
+        levels[0] = v
+    oscillation = False
+    for n in range(bc_lower.size):
+        interior = e_lower * v[:-2] + e_center * v[1:-1] + e_upper * v[2:]
+        if implicit:
+            interior[0] += i_lower[0] * bc_lower[n]
+            interior[-1] += i_upper[-1] * bc_upper[n]
+            interior, _ = dgttrs(*factors, interior)
+        else:
+            neighborhood = np.maximum(np.maximum(v[:-2], v[1:-1]), v[2:])
+            if float((interior - neighborhood).max()) > OSCILLATION_TOLERANCE:
+                oscillation = True
+        out = np.empty_like(v)
+        out[0], out[-1] = bc_lower[n], bc_upper[n]
+        out[1:-1] = interior
+        v = out
+        if keep_surface:
+            levels[n + 1] = v
+    return v, levels, oscillation
+
+
+def march_inputs(n_steps, kind=PUT, strike=7.5, spot=7.0, n_space=100, k=1.0):
+    """Payoff, bands and boundaries of a contract marched ``n_steps`` steps
+    of 1e-3 years each (stable at 100 nodes for k = 1)."""
+    contract = OptionContract(kind=kind, strike=strike, maturity=n_steps / 1000, spot=spot)
+    market = MarketParams(r=0.05, sigma=0.25)
+    disc = build_grid(contract, n_space=n_space, n_time=n_steps)
+    s = disc.nodes()
+    thetas = _theta_values(market, s[1:-1], disc.ds, ThetaConfig(scaling=k))
+    bands = _operator(market, s[1:-1], thetas, disc.ds)
+    return payoff(contract, s), bands, _boundaries(contract, market, disc), disc.dt
+
+
+def assert_marches_agree(*args, time_weight, keep_surface):
+    ring = _march(*args, time_weight, keep_surface=keep_surface)
+    reference = reference_march(*args, time_weight, keep_surface=keep_surface)
+    assert np.array_equal(ring[0], reference[0], equal_nan=True)
+    if keep_surface:
+        assert np.array_equal(ring[1], reference[1], equal_nan=True)
+    else:
+        assert ring[1] is None
+    assert ring[2] is reference[2]
+    return ring
+
+
+class TestMarch:
+    """The ring march gives the bits and the flag of a level-by-level march."""
+
+    @pytest.mark.parametrize("keep_surface", [False, True])
+    @pytest.mark.parametrize("time_weight", [0.0, 0.5])
+    @pytest.mark.parametrize(
+        "n_steps",
+        [
+            1,
+            model._MARCH_ROWS - 1,
+            model._MARCH_ROWS,
+            model._MARCH_ROWS + 1,
+            2 * model._MARCH_ROWS + 1,
+            1000,
+        ],
+    )
+    def test_ring_equals_the_reference_loop(self, n_steps, time_weight, keep_surface):
+        level, bands, boundaries, dt = march_inputs(n_steps)
+        before = level.copy()
+        assert_marches_agree(
+            level, bands, boundaries, dt,
+            time_weight=time_weight, keep_surface=keep_surface,
+        )
+        np.testing.assert_array_equal(level, before)
+
+    def test_march_that_turns_to_nan_inside_a_block(self):
+        # k = 30 at 400 nodes is far past the stability bound: the march
+        # overflows, then turns to NaN at a step that is not a block's first
+        # or last
+        args = march_inputs(1000, kind=CALL, strike=5.5, spot=5.0, n_space=400, k=30.0)
+        with np.errstate(over="ignore", invalid="ignore"):
+            assert_marches_agree(*args, time_weight=0.0, keep_surface=False)
+            final, levels, oscillation = assert_marches_agree(
+                *args, time_weight=0.0, keep_surface=True
+            )
+        first_nan = int(np.flatnonzero(np.isnan(levels).any(axis=1))[0])
+        assert 0 < (first_nan - 1) % model._MARCH_ROWS < model._MARCH_ROWS - 1
+        assert np.isnan(final).any()
+        assert oscillation
+
+    def test_nan_step_voids_only_itself(self):
+        # the interior grows by 1e-6 per step, so every step exceeds its
+        # neighborhood, but from the third step on each level holds the NaN
+        # that the second step's boundary brings in; only the first two
+        # steps count, and the flag is still set
+        n = 11
+        bands = (np.zeros(n - 2), np.full(n - 2, 1e-3), np.zeros(n - 2))
+        bc_lower = np.ones(model._MARCH_ROWS)
+        bc_lower[1] = np.nan
+        boundaries = (bc_lower, np.ones(model._MARCH_ROWS))
+        with np.errstate(invalid="ignore"):
+            final, _, oscillation = assert_marches_agree(
+                np.ones(n), bands, boundaries, 1e-3, time_weight=0.0, keep_surface=False
+            )
+        assert np.isnan(final).any()
+        assert oscillation
+
+    def test_rounding_on_a_plateau_sets_the_flag(self):
+        # all weights are >= 0 at r = 0, yet a constant level of 1e9 comes
+        # back a rounding error above itself, which exceeds the tolerance
+        n_steps = 1000
+        contract = OptionContract(kind=PUT, strike=7.5, maturity=1.0, spot=7.0)
+        market = MarketParams(r=0.0, sigma=0.25)
+        disc = build_grid(contract, n_space=100, n_time=n_steps)
+        s = disc.nodes()
+        bands = _operator(market, s[1:-1], np.ones(disc.n_space - 1), disc.ds)
+        lower, center, upper = bands
+        assert min(lower.min(), (1.0 + disc.dt * center).min(), upper.min()) >= 0.0
+        plateau = np.full(n_steps, 1e9)
+        _, _, oscillation = assert_marches_agree(
+            np.full(s.size, 1e9), bands, (plateau, plateau), disc.dt,
+            time_weight=0.0, keep_surface=False,
+        )
+        assert oscillation
 
 
 class TestBuildGrid:
