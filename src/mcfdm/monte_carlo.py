@@ -11,6 +11,7 @@ through a few time steps at a time, so a block never holds more than
 from __future__ import annotations
 
 import math
+import os
 import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
@@ -133,20 +134,35 @@ def _block_stats(
     return float(sample.sum()), float((sample * sample).sum())
 
 
+def _usable_cpus() -> int:
+    """CPUs this process may run on (its affinity mask where there is one)."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
 def price_monte_carlo(
     contract: OptionContract,
     market: MarketParams,
     config: McConfig = McConfig(),
     *,
-    n_workers: int = 1,
+    n_workers: int | None = None,
 ) -> PricingResult:
     """Price the contract by simulation.
 
     The discounted mean payoff is returned with its standard error in
     ``extra["se"]`` (``None`` for a single path). Blocks may be evaluated
     by a thread pool, but the reduction always runs in block order, so the
-    result does not depend on ``n_workers``.
+    result does not depend on ``n_workers``. ``None`` chooses the count:
+    one thread per usable CPU when each block marches at least one full
+    chunk of ``_CHUNK_ROWS`` steps, else one. No more threads run than
+    there are blocks, and ``extra["n_workers"]`` records how many ran.
     """
+    if n_workers is None:
+        # a pool pays once each block marches a full chunk: on a 2-vCPU VM,
+        # 100k paths x 1 step ran in 6-7 ms serially and 8-11 ms on two
+        # threads, 8192 paths x 1000 steps in 0.26-0.30 s and 0.16 s
+        n_workers = _usable_cpus() if config.n_time_steps >= _CHUNK_ROWS else 1
     _require_count("n_workers", n_workers, 1)
     # the normal transform loads before the clock starts, so a cold first
     # call times its simulation and not the import
@@ -157,17 +173,22 @@ def price_monte_carlo(
     sizes = [
         (b, min(_BLOCK, n - b * _BLOCK)) for b in range((n + _BLOCK - 1) // _BLOCK)
     ]
-    if n_workers == 1 or len(sizes) == 1:
+    n_workers = min(n_workers, len(sizes))
+    if n_workers == 1:
         stats = [
             _block_stats(contract, market, config, b, m) for b, m in sizes
         ]
     else:
+        # numpy's error state is a context variable, which pool threads do
+        # not inherit, so each task runs under the caller's
+        err = np.geterr()
+
+        def block(bm: tuple[int, int]) -> tuple[float, float]:
+            with np.errstate(**err):
+                return _block_stats(contract, market, config, *bm)
+
         with ThreadPoolExecutor(max_workers=n_workers) as pool:
-            stats = list(
-                pool.map(
-                    lambda bm: _block_stats(contract, market, config, *bm), sizes
-                )
-            )
+            stats = list(pool.map(block, sizes))
     total = 0.0
     total_sq = 0.0
     for block_sum, block_sq in stats:

@@ -756,6 +756,19 @@ class TestMain:
         assert row["price"] is None
         assert row["error"] == "solver returned a non-finite price nan"
 
+    def test_diverging_pooled_monte_carlo_prints_no_runtime_warning(self, fresh_python):
+        # two blocks of 64 steps run on the thread pool wherever two CPUs
+        # are usable; r = 1000 overflows the paths and the price is NaN
+        proc = fresh_python(
+            "-m", "mcfdm.cli", "price", "--method", "mc", "--rate", "1000",
+            "--mc-steps", "64", "--paths", "8192", "--format", "json",
+        )
+        assert proc.returncode == 2
+        assert "RuntimeWarning" not in proc.stderr
+        (row,) = json.loads(proc.stdout)["rows"]
+        assert row["price"] is None
+        assert row["error"] == "solver returned a non-finite price nan"
+
 
 # runs in a fresh interpreter: which scipy modules are loaded after
 # importing the CLI, and after one first call of an engine

@@ -1,5 +1,6 @@
 import math
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -149,12 +150,16 @@ class TestPriceMonteCarlo:
         mean = total / n
         discount = math.exp(-mk.r * c.maturity)
         se = discount * math.sqrt(max((total_sq - n * mean * mean) / (n - 1), 0.0) / n)
-        for workers in (1, 2):
+        for workers in (1, 2, None):
             result = price_monte_carlo(c, mk, config, n_workers=workers)
             assert result.price == discount * mean
             assert result.extra["se"] == se
 
-    @pytest.mark.parametrize(("workers", "bound_mb"), [(1, 8.0), (2, 16.0)])
+    # None is the default count: at most two threads for LONG_MARCH's two
+    # blocks, whatever the host
+    @pytest.mark.parametrize(
+        ("workers", "bound_mb"), [(1, 8.0), (2, 16.0), (None, 16.0)]
+    )
     def test_long_march_memory_peak_is_bounded(self, workers, bound_mb):
         # a whole 4096 x 1000 block of draws is 31 MB per array; streamed
         # blocks keep a few 1 MB chunks live per worker
@@ -173,6 +178,63 @@ class TestPriceMonteCarlo:
         pooled = price_monte_carlo(contract(), market(), n_workers=4)
         assert pooled.price == serial.price
         assert pooled.extra["se"] == serial.extra["se"]
+
+    def test_default_count_gives_the_serial_bits_on_a_long_march(self):
+        serial = price_monte_carlo(contract(), market(), LONG_MARCH, n_workers=1)
+        chosen = price_monte_carlo(contract(), market(), LONG_MARCH)
+        assert chosen.price == serial.price
+        assert chosen.extra["se"] == serial.extra["se"]
+
+    @pytest.mark.parametrize("cpus", [1, 4])
+    @pytest.mark.parametrize(
+        ("n_paths", "n_steps", "pooled"),
+        [
+            # a 1-step run and a one-block run stay serial on any host
+            pytest.param(8192, 1, False, id="one-step"),
+            pytest.param(monte_carlo._BLOCK, monte_carlo._CHUNK_ROWS, False, id="one-block"),
+            # two blocks of a full chunk each: a thread per block, up to
+            # the usable CPUs
+            pytest.param(8192, monte_carlo._CHUNK_ROWS, True, id="full-chunk"),
+        ],
+    )
+    def test_default_count_follows_the_steps_blocks_and_cpus(
+        self, monkeypatch, cpus, n_paths, n_steps, pooled
+    ):
+        pools = []
+
+        class RecordingPool(monte_carlo.ThreadPoolExecutor):
+            def __init__(self, max_workers):
+                pools.append(max_workers)
+                super().__init__(max_workers=max_workers)
+
+        monkeypatch.setattr(monte_carlo, "_usable_cpus", lambda: cpus)
+        monkeypatch.setattr(monte_carlo, "ThreadPoolExecutor", RecordingPool)
+        config = McConfig(n_paths=n_paths, seed=3, n_time_steps=n_steps)
+        result = price_monte_carlo(contract(), market(), config)
+        ran = min(2, cpus) if pooled else 1
+        assert result.extra["n_workers"] == ran
+        # a serial run starts no pool; a pooled one gets the same count
+        assert pools == ([] if ran == 1 else [ran])
+
+    def test_recorded_count_is_capped_at_the_blocks(self):
+        one_block = McConfig(n_paths=monte_carlo._BLOCK, seed=3, n_time_steps=1)
+        result = price_monte_carlo(contract(), market(), one_block, n_workers=4)
+        assert result.extra["n_workers"] == 1
+        three_blocks = McConfig(n_paths=3 * monte_carlo._BLOCK, seed=3)
+        result = price_monte_carlo(contract(), market(), three_blocks, n_workers=4)
+        assert result.extra["n_workers"] == 3
+
+    def test_pooled_blocks_run_under_the_callers_error_state(self):
+        # r = 1000 overflows the paths into inf, and inf - inf gives NaN;
+        # a pool thread does not inherit the caller's np.errstate
+        diverging = MarketParams(r=1000.0, sigma=0.25)
+        config = McConfig(n_paths=8192, seed=5, n_time_steps=64)
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            with np.errstate(over="ignore", invalid="ignore"):
+                result = price_monte_carlo(contract(), diverging, config, n_workers=2)
+        assert [str(w.message) for w in caught] == []
+        assert math.isnan(result.price)
 
     @given(
         n_paths=st.integers(1, 10_000),
@@ -217,10 +279,14 @@ class TestPriceMonteCarlo:
         assert abs(result.price - 0.63791) <= 3.0 * result.extra["se"]
 
     def test_bad_worker_count_rejected(self):
-        with pytest.raises(ValidationError):
-            price_monte_carlo(contract(), market(), n_workers=0)
-        with pytest.raises(ValidationError, match="n_workers must be an int"):
-            price_monte_carlo(contract(), market(), n_workers=True)
+        for workers in (0, True, 2.0, "2"):
+            with pytest.raises(ValidationError, match="n_workers must be an int >= 1"):
+                price_monte_carlo(contract(), market(), n_workers=workers)
+
+    def test_none_worker_count_is_accepted(self):
+        result = price_monte_carlo(contract(), market(), n_workers=None)
+        assert result.price == SEED42_PRICE
+        assert result.extra["n_workers"] == 1
 
     def test_estimate_brackets_the_closed_form_across_seeds(self):
         hits = 0
