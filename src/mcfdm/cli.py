@@ -1,10 +1,9 @@
 """Command-line harness for pricing jobs and benchmark reports.
 
-Subcommands: ``price``, ``table``, ``timing``, ``theta-study``,
-``convergence``. Every run produces a ``TableReport`` that can be rendered
-as an aligned text table, CSV, or JSON. Reports embed a provenance block
-echoing every job parameter, so a JSON report can be fed back in as a job
-fragment and re-run.
+Every subcommand, each declared once in ``_SUBCOMMANDS``, produces a
+``TableReport`` that can be rendered as an aligned text table, CSV, or
+JSON. Reports embed a provenance block echoing every job parameter, so a
+JSON report can be fed back in as a job fragment and re-run.
 
 Exit codes: 0 success, 1 invalid arguments, 2 solver failure (including a
 non-finite price) in any row, 3 stability rejection.
@@ -26,7 +25,7 @@ from dataclasses import asdict, dataclass, field, fields, replace
 from datetime import datetime, timezone
 from functools import partial
 from pathlib import Path
-from typing import Any, Callable, Sequence, get_type_hints
+from typing import Any, Callable, NamedTuple, Sequence, get_type_hints
 
 import numpy as np
 
@@ -87,9 +86,6 @@ _CHOICES = {
     "alpha": tuple(profile.value for profile in AlphaProfile),
     "fmt": ("table", "csv", "json"),
 }
-_DEFAULT_MATURITIES = (0.25, 0.5, 1.0)
-_DEFAULT_SCALINGS = (0.5, 1.0, 2.0)
-_DEFAULT_GRIDS = ((50, 2000), (100, 2000), (200, 2000))
 
 
 def format_error(value: float) -> str:
@@ -434,18 +430,17 @@ def _solve_row(row: _Row, repeats: int | None = None) -> ReportRow:
         )
 
 
-def _provenance(
-    job: JobSpec, rows: Sequence[ReportRow], **extra: Any
-) -> dict[str, Any]:
-    """The report's provenance block, built after its ``rows`` have run.
+def _report(job: JobSpec, rows: Sequence[ReportRow], **echo: Any) -> TableReport:
+    """The report of ``rows``, which have run, under a provenance block that
+    echoes ``job`` and then ``echo``: the subcommand and its sweep.
 
     ``scipy`` is the version of the scipy that the report's Crank-Nicolson
     and Monte Carlo rows loaded, or ``None`` when it has no such row, even
     if an earlier call in the same process loaded scipy. It is read from
     ``sys.modules``, so that writing it loads nothing.
     """
-    echo = asdict(job)
-    echo["mc_steps"] = _mc_steps(job)
+    job_echo = asdict(job)
+    job_echo["mc_steps"] = _mc_steps(job)
     scipy = None
     if not {"CFDM", "MonteCarlo"}.isdisjoint(row.method for row in rows):
         scipy = sys.modules.get("scipy")
@@ -457,10 +452,9 @@ def _provenance(
         "numpy": np.__version__,
         "scipy": getattr(scipy, "__version__", None),
         "cpu_count": os.cpu_count(),
-        "job": echo,
+        "job": job_echo,
     }
-    block.update(extra)
-    return block
+    return TableReport(provenance={**block, **echo}, rows=tuple(rows))
 
 
 def _methods_for(job: JobSpec, numerical_only: bool = False) -> list[str]:
@@ -487,10 +481,7 @@ def run_table(maturities: Sequence[float], job: JobSpec) -> TableReport:
     # solve alone
     jobs = [replace(job, maturity=maturity) for maturity in maturities]
     rows = [_solve_row(row) for row in _plan(_methods_for(job), jobs)]
-    return TableReport(
-        provenance=_provenance(job, rows, subcommand="table", maturities=maturities),
-        rows=tuple(rows),
-    )
+    return _report(job, rows, subcommand="table", maturities=maturities)
 
 
 def run_timing(job: JobSpec, repeats: int = 5) -> TableReport:
@@ -506,10 +497,7 @@ def run_timing(job: JobSpec, repeats: int = 5) -> TableReport:
         job = replace(job, mc_steps=job.n_time)
     plan = _plan(_methods_for(job, numerical_only=True), [job])
     rows = [_solve_row(row, repeats) for row in plan]
-    return TableReport(
-        provenance=_provenance(job, rows, subcommand="timing", repeats=repeats),
-        rows=tuple(rows),
-    )
+    return _report(job, rows, subcommand="timing", repeats=repeats)
 
 
 def run_theta_study(scalings: Sequence[float], job: JobSpec) -> TableReport:
@@ -520,11 +508,8 @@ def run_theta_study(scalings: Sequence[float], job: JobSpec) -> TableReport:
     # job, whose θ the provenance echoes, is planned first to check it and
     # is not run
     plan = _plan(["MCFDM"], [job, *jobs])[1:]
-    rows = tuple(_solve_row(row) for row in plan)
-    return TableReport(
-        provenance=_provenance(job, rows, subcommand="theta-study", scalings=ordered),
-        rows=rows,
-    )
+    rows = [_solve_row(row) for row in plan]
+    return _report(job, rows, subcommand="theta-study", scalings=ordered)
 
 
 def run_convergence(
@@ -571,15 +556,8 @@ def run_convergence(
                 previous.abs_error / row.abs_error
             ) / math.log(previous.metadata["ds"] / row.metadata["ds"])
         previous = row
-    return TableReport(
-        provenance=_provenance(
-            job,
-            rows,
-            subcommand="convergence",
-            grids=[f"{ns}:{nt}" for ns, nt in grids],
-        ),
-        rows=tuple(rows),
-    )
+    grid_echo = [f"{ns}:{nt}" for ns, nt in grids]
+    return _report(job, rows, subcommand="convergence", grids=grid_echo)
 
 
 def _fits(value: Any, hint: Any) -> bool:
@@ -638,6 +616,32 @@ _FLAG_HELP = {
 }
 
 
+class _Sweep(NamedTuple):
+    """A repeatable flag, its parser, its default tokens and the run it feeds."""
+
+    flag: str
+    parse: Callable[[str], Any]
+    defaults: str
+    run: Callable[[list[Any], JobSpec], TableReport]
+    metavar: str | None = None
+
+
+# each subcommand's help and, for a sweep, its repeatable flag; every
+# subcommand takes --maturity, once unless it sweeps it
+_SUBCOMMANDS = {
+    "price": ("price one contract", None),
+    "table": ("error table over maturities", _Sweep("maturity", float, "0.25 0.5 1.0", run_table)),
+    "timing": ("median solve times per method", None),
+    "theta-study": (
+        "sweep the convection scaling k", _Sweep("scaling", float, "0.5 1.0 2.0", run_theta_study)
+    ),
+    "convergence": (
+        "error versus grid refinement",
+        _Sweep("grid", _parse_grid, "50:2000 100:2000 200:2000", run_convergence, "N_SPACE:N_TIME"),
+    ),
+}
+
+
 def _build_parser() -> argparse.ArgumentParser:
     # one flag per JobSpec field but maturity, which each subcommand declares
     common = argparse.ArgumentParser(add_help=False)
@@ -664,50 +668,19 @@ def _build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--version", action="version", version=f"mcfdm {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p_price = sub.add_parser("price", parents=[common], help="price one contract")
-    p_price.add_argument("--maturity", type=float, default=1.0)
-
-    p_table = sub.add_parser(
-        "table", parents=[common], help="error table over maturities"
-    )
-    p_table.add_argument(
-        "--maturity",
-        type=float,
-        action="append",
-        default=None,
-        help="repeatable; defaults to 0.25 0.5 1.0",
-    )
-
-    p_timing = sub.add_parser(
-        "timing", parents=[common], help="median solve times per method"
-    )
-    p_timing.add_argument("--maturity", type=float, default=1.0)
-    p_timing.add_argument("--repeats", type=int, default=5)
-
-    p_theta = sub.add_parser(
-        "theta-study", parents=[common], help="sweep the convection scaling k"
-    )
-    p_theta.add_argument("--maturity", type=float, default=1.0)
-    p_theta.add_argument(
-        "--scaling",
-        type=float,
-        action="append",
-        default=None,
-        help="repeatable; defaults to 0.5 1.0 2.0",
-    )
-
-    p_conv = sub.add_parser(
-        "convergence", parents=[common], help="error versus grid refinement"
-    )
-    p_conv.add_argument("--maturity", type=float, default=1.0)
-    p_conv.add_argument(
-        "--grid",
-        type=_parse_grid,
-        action="append",
-        default=None,
-        metavar="N_SPACE:N_TIME",
-        help="repeatable; defaults to 50:2000 100:2000 200:2000",
-    )
+    for name, (help_text, sweep) in _SUBCOMMANDS.items():
+        own = sub.add_parser(name, parents=[common], help=help_text)
+        if sweep is None or sweep.flag != "maturity":
+            own.add_argument("--maturity", type=float, default=1.0)
+        if sweep is not None:
+            own.add_argument(
+                f"--{sweep.flag}",
+                type=sweep.parse,
+                action="append",
+                metavar=sweep.metavar,
+                help=f"repeatable; defaults to {sweep.defaults}",
+            )
+    sub.choices["timing"].add_argument("--repeats", type=int, default=5)
     return parser
 
 
@@ -743,21 +716,20 @@ def main(argv: Sequence[str] | None = None) -> int:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return 0 if exc.code in (0, None) else 1
+    sweep = _SUBCOMMANDS[args.command][1]
     try:
-        if args.command == "table":
-            maturities = args.maturity or list(_DEFAULT_MATURITIES)
-        else:
-            maturities = [args.maturity]
-        job = _job_from_args(args, maturity=maturities[0])
+        if sweep is not None:
+            values = getattr(args, sweep.flag) or [sweep.parse(t) for t in sweep.defaults.split()]
+        # a table's job takes its first maturity
+        job = _job_from_args(args, maturity=values[0] if args.command == "table" else args.maturity)
         _check_out(job.out)
-        if args.command in ("price", "table"):
-            report = run_table(maturities, job)
+        if sweep is not None:
+            report = sweep.run(values, job)
         elif args.command == "timing":
             report = run_timing(job, repeats=args.repeats)
-        elif args.command == "theta-study":
-            report = run_theta_study(args.scaling or list(_DEFAULT_SCALINGS), job)
         else:
-            report = run_convergence(args.grid or list(_DEFAULT_GRIDS), job)
+            report = run_table([job.maturity], job)
+            report = replace(report, provenance={**report.provenance, "subcommand": "price"})
     except ValidationError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

@@ -674,6 +674,36 @@ class TestMain:
         maturities = [row[1] for row in csv.reader(data[1:])]
         assert maturities == ["0.25", "0.5", "1"]
 
+    @pytest.mark.parametrize(
+        ("argv", "echo_key", "row_value"),
+        [
+            (["table", "--method", "exact"], "maturities", lambda row: row["maturity_years"]),
+            (["theta-study"], "scalings", lambda row: row["metadata"]["theta_scale"]),
+            (
+                ["convergence", "--method", "cfdm"],
+                "grids",
+                lambda row: f"{row['metadata']['n_space']}:{row['metadata']['n_time']}",
+            ),
+        ],
+    )
+    def test_sweep_defaults_run_the_values_its_help_names(
+        self, capsys, argv, echo_key, row_value
+    ):
+        assert main([argv[0], "--help"]) == 0
+        help_text = " ".join(capsys.readouterr().out.split())
+        named = help_text.split("defaults to ", 1)[1].split()
+        assert main([*argv, "--format", "json"]) == 0
+        payload = json.loads(capsys.readouterr().out)
+        echoed = payload["provenance"][echo_key]
+        assert [str(value) for value in echoed] == named
+        assert [row_value(row) for row in payload["rows"]] == echoed
+
+    def test_price_report_names_price(self, capsys):
+        assert main(["price", "--method", "exact", "--format", "json"]) == 0
+        assert json.loads(capsys.readouterr().out)["provenance"]["subcommand"] == "price"
+        # the library call behind price still names its own subcommand
+        assert run_table([1.0], JobSpec(method="Exact")).provenance["subcommand"] == "table"
+
     @pytest.mark.parametrize("method", ["mc", "exact"])
     def test_convergence_of_an_engine_without_a_grid_exits_one(
         self, monkeypatch, capsys, method
