@@ -5,8 +5,8 @@ Every subcommand, each declared once in ``_SUBCOMMANDS``, produces a
 JSON. Reports embed a provenance block echoing every job parameter, so a
 JSON report can be fed back in as a job fragment and re-run.
 
-Exit codes: 0 success, 1 invalid arguments, 2 solver failure (including a
-non-finite price) in any row, 3 stability rejection.
+Exit codes: 0 success, 1 invalid arguments, 2 solver failure in any row
+(an overflow, or a non-finite price, error or se), 3 stability rejection.
 """
 
 from __future__ import annotations
@@ -59,8 +59,6 @@ __all__ = [
     "run_timing",
 ]
 
-logger = logging.getLogger(__name__)
-
 CSV_HEADER = (
     "method,maturity_years,price,abs_error,elapsed_seconds,"
     "se,theta_scale,n_space,n_time,paths,seed,error,error_kind"
@@ -111,12 +109,11 @@ def _parse_smax(token: str) -> float | str:
     if token.lower() == "auto":
         return "auto"
     try:
-        value = float(token)
+        return float(token)
     except ValueError:
         raise argparse.ArgumentTypeError(
             f"--s-max must be 'auto' or a number, got {token!r}"
         ) from None
-    return value
 
 
 def _parse_grid(token: str) -> tuple[int, int]:
@@ -127,6 +124,13 @@ def _parse_grid(token: str) -> tuple[int, int]:
         raise argparse.ArgumentTypeError(
             f"--grid must look like N_SPACE:N_TIME, got {token!r}"
         ) from None
+
+
+def _fits(value: Any, hint: Any) -> bool:
+    """Whether ``value`` fits a field annotation; an int may stand for a float."""
+    if isinstance(value, bool):
+        return hint is bool
+    return isinstance(value, hint) or (isinstance(value, int) and isinstance(0.0, hint))
 
 
 @dataclass(frozen=True, slots=True)
@@ -154,6 +158,13 @@ class JobSpec:
     out: str | None = None
 
     def __post_init__(self) -> None:
+        # a job may come from a replayed report's untyped JSON or from a
+        # library caller, so each field is checked against its annotation
+        for name, hint in _JOB_HINTS.items():
+            value = getattr(self, name)
+            if not _fits(value, hint):
+                expected = getattr(hint, "__name__", hint)
+                raise ValidationError(f"job field {name} must be {expected}, got {value!r}")
         if self.method not in _ALL_METHODS and self.method != "All":
             raise ValidationError(f"unknown method {self.method!r}")
         for name, words in _CHOICES.items():
@@ -276,8 +287,6 @@ def _meta_cell(meta: dict[str, Any], key: str) -> str:
         return ""
     if isinstance(value, bool):
         return str(value).lower()
-    if isinstance(value, int):
-        return str(value)
     if isinstance(value, float):
         return format(value, ".17g")
     return str(value)
@@ -315,18 +324,6 @@ def _exact(contract: OptionContract, market: MarketParams) -> PricingResult:
     )
 
 
-def _mcfdm(
-    contract: OptionContract,
-    market: MarketParams,
-    disc: Discretization,
-    config: ThetaConfig,
-    allow_unstable: bool,
-) -> PricingResult:
-    return solve_mcfdm(
-        contract, market, disc, config, allow_unstable=allow_unstable
-    ).result
-
-
 @dataclass(frozen=True, slots=True)
 class _Row:
     """One planned row: its labels, its grid, and its ready-to-call solve."""
@@ -337,50 +334,40 @@ class _Row:
     solve: Callable[[], PricingResult]
 
 
+def _planned(method: str, job: JobSpec) -> _Row:
+    """The row of ``job`` under ``method``, its inputs built and its solve ready.
+
+    Building the inputs checks them: every row builds its market, θ config
+    and contract, then an MCFDM or CFDM row its grid, a Monte Carlo row its config.
+    """
+    market = MarketParams(r=job.rate, sigma=job.vol, alpha_profile=AlphaProfile(job.alpha))
+    theta = ThetaConfig(scaling=job.theta_scale, normalize=job.theta_mode == "normalized")
+    c = OptionContract(OptionKind(job.kind), job.strike, job.maturity, job.spot)
+    disc = None
+    if method in ("MCFDM", "CFDM"):
+        disc = build_grid(c, job.n_space, job.n_time, s_max=job.s_max)
+    if method == "MCFDM":
+        solve = lambda: solve_mcfdm(
+            c, market, disc, theta, allow_unstable=job.allow_unstable
+        ).result
+    elif method == "CFDM":
+        solve = partial(solve_crank_nicolson, c, market, disc)
+    elif method == "MonteCarlo":
+        solve = partial(price_monte_carlo, c, market, McConfig(job.paths, job.seed, _mc_steps(job)))
+    else:
+        solve = partial(_exact, c, market)
+    return _Row(method, job.maturity, disc, solve)
+
+
 def _plan(methods: Sequence[str], jobs: Sequence[JobSpec]) -> list[_Row]:
     """One row per (method, job), method-major, each solving its own job.
 
-    Each input is built for every job before the next one: market, θ config,
-    contract, grid (only when a grid engine runs), then Monte Carlo config
-    (only when Monte Carlo runs). Building them is the validation: bad input
-    raises ``ValidationError`` here, before any row runs.
+    Every row is built, and so checked, before any row runs.
     """
-    markets = [
-        MarketParams(r=job.rate, sigma=job.vol, alpha_profile=AlphaProfile(job.alpha))
-        for job in jobs
-    ]
-    thetas = [
-        ThetaConfig(scaling=job.theta_scale, normalize=job.theta_mode == "normalized")
-        for job in jobs
-    ]
-    contracts = [
-        OptionContract(OptionKind(job.kind), job.strike, job.maturity, job.spot)
-        for job in jobs
-    ]
-    discs = mcs = [None] * len(jobs)
-    if not {"MCFDM", "CFDM"}.isdisjoint(methods):
-        discs = [
-            build_grid(contract, job.n_space, job.n_time, s_max=job.s_max)
-            for contract, job in zip(contracts, jobs)
-        ]
-    if "MonteCarlo" in methods:
-        mcs = [McConfig(job.paths, job.seed, _mc_steps(job)) for job in jobs]
-    rows = []
-    for method in methods:
-        for job, market, theta, c, disc, mc in zip(
-            jobs, markets, thetas, contracts, discs, mcs
-        ):
-            solve = {
-                "Exact": partial(_exact, c, market),
-                "MonteCarlo": partial(price_monte_carlo, c, market, mc),
-                "CFDM": partial(solve_crank_nicolson, c, market, disc),
-                "MCFDM": partial(_mcfdm, c, market, disc, theta, job.allow_unstable),
-            }[method]
-            rows.append(_Row(method, job.maturity, disc, solve))
-    return rows
+    return [_planned(method, job) for method in methods for job in jobs]
 
 
-def _error_kind(exc: McfdmError) -> str:
+def _error_kind(exc: Exception) -> str:
     if isinstance(exc, StabilityError):
         return "stability"
     if isinstance(exc, ValidationError):
@@ -399,8 +386,10 @@ def _solve_row(row: _Row, repeats: int | None = None) -> ReportRow:
     """
     try:
         result = row.solve()
-        if not math.isfinite(result.price):
-            raise McfdmError(f"solver returned a non-finite price {result.price}")
+        se = result.extra.get("se")
+        for name, value in (("price", result.price), ("abs_error", result.abs_error), ("se", se)):
+            if value is not None and not math.isfinite(value):
+                raise McfdmError(f"solver returned a non-finite {name} {value}")
         elapsed = result.elapsed_seconds
         meta = dict(result.extra)
         if "n_time_steps" in meta:
@@ -418,14 +407,17 @@ def _solve_row(row: _Row, repeats: int | None = None) -> ReportRow:
             elapsed_seconds=elapsed,
             metadata=meta,
         )
-    except McfdmError as exc:
+    except (McfdmError, ArithmeticError) as exc:
+        # an ArithmeticError is an engine's Python-float arithmetic
+        # overflowing, as ds**2 does on a grid bound near 1e200
+        error = str(exc) if isinstance(exc, McfdmError) else f"{type(exc).__name__}: {exc}"
         return ReportRow(
             method=row.method,
             maturity_years=row.maturity,
             price=None,
             abs_error=None,
             elapsed_seconds=None,
-            error=str(exc),
+            error=error,
             error_kind=_error_kind(exc),
         )
 
@@ -560,13 +552,6 @@ def run_convergence(
     return _report(job, rows, subcommand="convergence", grids=grid_echo)
 
 
-def _fits(value: Any, hint: Any) -> bool:
-    """Whether ``value`` fits a field annotation; an int may stand for a float."""
-    if isinstance(value, bool):
-        return hint is bool
-    return isinstance(value, hint) or (isinstance(value, int) and isinstance(0.0, hint))
-
-
 def jobspec_from_report(report: dict[str, Any]) -> JobSpec:
     """Rebuild the job from a parsed JSON report's provenance echo."""
     try:
@@ -578,11 +563,6 @@ def jobspec_from_report(report: dict[str, Any]) -> JobSpec:
     unknown = set(echo) - set(_JOB_HINTS)
     if unknown:
         raise ValidationError(f"unknown job fields in report: {sorted(unknown)}")
-    # the report is untyped JSON, so each field is checked against its annotation
-    for name, value in echo.items():
-        if not _fits(value, _JOB_HINTS[name]):
-            expected = getattr(_JOB_HINTS[name], "__name__", _JOB_HINTS[name])
-            raise ValidationError(f"job field {name} must be {expected}, got {value!r}")
     return JobSpec(**echo)
 
 

@@ -12,8 +12,10 @@ import mcfdm
 from mcfdm import (
     AlphaProfile,
     MarketParams,
+    Method,
     OptionContract,
     OptionKind,
+    PricingResult,
     ThetaConfig,
     ValidationError,
     black_scholes_price,
@@ -127,6 +129,25 @@ class TestJobSpec:
             JobSpec(**kwargs)
         assert str(info.value) == message
 
+    @pytest.mark.parametrize(
+        ("kwargs", "message"),
+        [
+            ({"spot": "7"}, "job field spot must be float, got '7'"),
+            ({"vol": None}, "job field vol must be float, got None"),
+            ({"theta_scale": "1"}, "job field theta_scale must be float, got '1'"),
+            ({"allow_unstable": "yes"}, "job field allow_unstable must be bool, got 'yes'"),
+            ({"n_space": 100.0}, "job field n_space must be int, got 100.0"),
+            ({"seed": True}, "job field seed must be int, got True"),
+            ({"mc_steps": 2.5}, "job field mc_steps must be int | None, got 2.5"),
+        ],
+        ids=["spot", "vol", "theta_scale", "allow_unstable", "n_space", "seed", "mc_steps"],
+    )
+    def test_field_of_the_wrong_type_is_rejected(self, kwargs, message):
+        # a library caller's job is checked as a replayed report's is
+        with pytest.raises(ValidationError) as info:
+            JobSpec(**kwargs)
+        assert str(info.value) == message
+
 
 class TestRunPrice:
     # ``mcfdm price`` runs a one-maturity table
@@ -198,6 +219,23 @@ class TestRunTable:
         assert row["metadata"]["cfl_margin"] == extra["cfl_margin"]
         assert row["metadata"]["oscillation"] is extra["oscillation"]
         assert extra["oscillation"] is (theta_scale == 30.0)
+
+    @pytest.mark.parametrize(
+        ("method", "unused"),
+        [
+            ("MonteCarlo", {"n_space": 3}),
+            ("Exact", {"s_max": 4.0}),
+            ("CFDM", {"paths": 0}),
+            ("MCFDM", {"seed": -1}),
+        ],
+    )
+    def test_each_method_builds_only_the_inputs_it_uses(self, method, unused):
+        # the field is invalid for the other methods' inputs: a grid, a
+        # Monte Carlo config
+        report = run_table([0.5], small_job(method=method, **unused))
+        (row,) = report.rows
+        assert (row.method, row.error) == (method, None)
+        assert _exit_code(report) == 0
 
     def test_empty_maturity_list_rejected(self):
         with pytest.raises(ValidationError):
@@ -349,9 +387,11 @@ def _fail_if_called(*args, **kwargs):
         lambda: run_table([1.0], small_job(method="MonteCarlo", paths=0)),
         lambda: run_convergence([(50, 400)], small_job(method="MonteCarlo")),
         lambda: run_convergence([(50, 400)], small_job(method="Exact")),
+        lambda: run_table([0.25, -1.0], small_job(n_space=3)),
     ],
     ids=["table-last-maturity", "convergence-grid", "theta-study-base-scale",
-         "cfdm-theta-scale", "mc-paths", "convergence-mc", "convergence-exact"],
+         "cfdm-theta-scale", "mc-paths", "convergence-mc", "convergence-exact",
+         "table-maturity-and-grid"],
 )
 def test_bad_input_fails_before_any_row_runs(monkeypatch, run):
     for engine in _ENGINES:
@@ -413,6 +453,67 @@ class TestNonFinitePrice:
     def test_cli_prints_the_report_and_exits_two(self, fmt, failed_row, capsys):
         assert main([*self.ARGS, "--format", fmt]) == 2
         assert failed_row in capsys.readouterr().out
+
+
+def _strict_json(text: str):
+    def refuse(constant):
+        raise AssertionError(f"the report holds {constant}, which is not JSON")
+
+    return json.loads(text, parse_constant=refuse)
+
+
+class TestOverflowingSolve:
+    # a grid bound near 1e200 overflows ds**2 in Python floats
+    def test_price_records_both_grid_rows_and_prices_the_rest(self, capsys):
+        argv = ["price", "--s-max", "1e200", "--paths", "2000", "--format", "json"]
+        assert main(argv) == 2
+        rows = _strict_json(capsys.readouterr().out)["rows"]
+        failed = {r["method"]: r for r in rows if r["error"] is not None}
+        assert sorted(failed) == ["CFDM", "MCFDM"]
+        for row in failed.values():
+            assert row["error_kind"] == "solver"
+            assert row["error"].startswith("OverflowError: ")
+        assert [r["price"] is not None for r in rows] == [False, False, True, True]
+
+    @pytest.mark.parametrize("fmt", ["table", "csv", "json"])
+    def test_theta_study_prints_its_report_and_exits_two(self, capsys, fmt):
+        argv = ["theta-study", "--spot", "1e200", "--strike", "1e200", "--format", fmt]
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.err == ""
+        assert captured.out.count("OverflowError") == 3
+
+
+class TestNonFiniteRowFields:
+    def test_monte_carlo_standard_error_that_is_nan_fails_its_row(self, capsys):
+        argv = [
+            "price", "--spot", "1e200", "--strike", "1e200", "--method", "mc",
+            "--paths", "2000", "--format", "json",
+        ]
+        assert main(argv) == 2
+        (row,) = _strict_json(capsys.readouterr().out)["rows"]
+        assert row["price"] is None and row["error_kind"] == "solver"
+        assert row["error"] == "solver returned a non-finite se nan"
+
+    @pytest.mark.parametrize(
+        ("result", "message"),
+        [
+            ({"abs_error": math.inf}, "solver returned a non-finite abs_error inf"),
+            ({"extra": {"se": math.nan}}, "solver returned a non-finite se nan"),
+        ],
+        ids=["abs_error", "se"],
+    )
+    def test_every_renderer_prints_the_failed_row(self, monkeypatch, result, message):
+        fields = {"method": Method.MONTE_CARLO, "price": 0.4, "abs_error": 0.0,
+                  "elapsed_seconds": 0.0, **result}
+        monkeypatch.setattr(
+            "mcfdm.cli.price_monte_carlo", lambda *args: PricingResult(**fields)
+        )
+        report = run_table([1.0], small_job(method="MonteCarlo"))
+        assert report.rows[0].error == message
+        assert f"ERROR[solver]: {message}" in report.to_text()
+        assert f",{message},solver" in report.to_csv()
+        assert _strict_json(report.to_json())["rows"][0]["error"] == message
 
 
 class TestReportFormats:

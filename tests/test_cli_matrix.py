@@ -1,0 +1,153 @@
+"""Byte-identity of the CLI: every subcommand, format and exit path.
+
+Each case runs ``main(argv)`` in-process and is compared, stdout, stderr
+and exit code, with its entry in ``cli_matrix.json``. Only what depends on
+the host or the clock is masked: the provenance's ``generated_at``,
+``python``, ``numpy``, ``scipy`` and ``cpu_count``, every elapsed time, and
+Monte Carlo's ``n_workers``.
+
+After a change that is meant to alter the CLI's output, regenerate the
+golden file with ``PYTHONPATH=src python tests/test_cli_matrix.py`` and
+review its diff.
+"""
+
+from __future__ import annotations
+
+import contextlib
+import csv
+import io
+import json
+import logging
+import os
+import re
+import sys
+from pathlib import Path
+from unittest import mock
+
+import pytest
+
+from mcfdm.cli import main
+
+GOLDEN = Path(__file__).with_name("cli_matrix.json")
+
+_SMALL = ["--n-space", "50", "--n-time", "400", "--paths", "2000"]
+CASES = {
+    "price-text": ["price", *_SMALL],
+    "price-csv": ["price", *_SMALL, "--format", "csv"],
+    "price-json": ["price", *_SMALL, "--format", "json"],
+    "price-pooled-mc-json": [
+        "price", "--method", "mc", "--paths", "8192", "--mc-steps", "64", "--format", "json",
+    ],
+    "table-text": ["table", *_SMALL, "--maturity", "0.25", "--maturity", "1"],
+    "table-csv": ["table", *_SMALL, "--method", "cfdm", "--kind", "put", "--format", "csv"],
+    "table-json": ["table", "--method", "exact", "--spot", "7", "--strike", "7.5", "--format", "json"],
+    "timing-text": ["timing", *_SMALL, "--maturity", "0.25", "--repeats", "3"],
+    "timing-json": ["timing", *_SMALL, "--maturity", "0.25", "--repeats", "3", "--format", "json"],
+    "theta-study-text": ["theta-study", *_SMALL],
+    "theta-study-csv": [
+        "theta-study", *_SMALL, "--kind", "put", "--theta-mode", "literal",
+        "--scaling", "2", "--scaling", "0", "--format", "csv",
+    ],
+    "theta-study-json": [
+        "theta-study", "--spot", "7", "--strike", "7.5", "--alpha", "proportional",
+        "--scaling", "0.5", "--scaling", "1", "--format", "json",
+    ],
+    "convergence-text": [
+        "convergence", "--method", "cfdm", "--grid", "50:400", "--grid", "100:400",
+    ],
+    "convergence-csv": [
+        "convergence", "--method", "mcfdm", "--grid", "25:400", "--grid", "50:400",
+        "--format", "csv",
+    ],
+    "convergence-json": [
+        "convergence", "--method", "cfdm", "--spot", "7", "--strike", "7.5",
+        "--s-max", "29.1", "--grid", "50:500", "--grid", "100:500", "--format", "json",
+    ],
+    "stability-text": ["price", "--method", "mcfdm", "--n-time", "100"],
+    "stability-csv": [
+        "theta-study", "--kind", "put", "--scaling", "1", "--scaling", "80", "--format", "csv",
+    ],
+    "diverging-json": [
+        "price", "--method", "mcfdm", "--theta-scale", "30", "--allow-unstable",
+        "--n-space", "400", "--format", "json",
+    ],
+    "reject-vol": ["price", "--vol", "-3"],
+    "reject-maturity": ["table", "--maturity", "0.25", "--maturity", "-1"],
+    "reject-s-max": ["price", "--method", "exact", "--s-max", "nan"],
+    "reject-convergence-mc": ["convergence", "--method", "mc"],
+    "reject-repeats": ["timing", "--repeats", "2"],
+    "reject-method-token": ["price", "--method", "simplex"],
+    "version": ["--version"],
+}
+
+_HOST = "generated_at|python|numpy|scipy|cpu_count"
+_MASKS = {
+    "table": [
+        (re.compile(rf"^({_HOST}): (?!None$).*$", re.M), r"\1: *"),
+        # the elapsed column of a result row
+        (re.compile(r"(?<= )\d+\.\d{4}s(?=  )"), "*s"),
+    ],
+    "csv": [(re.compile(rf"^# ({_HOST}): (?!None$).*$", re.M), r"# \1: *")],
+    "json": [
+        (re.compile(rf'"({_HOST}|elapsed_seconds|n_workers)": (?!null)[^,\n]*'), r'"\1": "*"'),
+    ],
+}
+
+
+def _mask_csv_elapsed(text: str) -> str:
+    lines = []
+    for line in text.splitlines(keepends=True):
+        if not line.startswith("# ") and not line.startswith("method,"):
+            (row,) = csv.reader([line])
+            if row[4]:
+                row[4] = "*"
+                buf = io.StringIO()
+                csv.writer(buf, lineterminator="\n").writerow(row)
+                line = buf.getvalue()
+        lines.append(line)
+    return "".join(lines)
+
+
+def mask(text: str, fmt: str) -> str:
+    for pattern, repl in _MASKS[fmt]:
+        text = pattern.sub(repl, text)
+    return _mask_csv_elapsed(text) if fmt == "csv" else text
+
+
+def run_case(argv: list[str]) -> dict:
+    """``main(argv)``'s exit code and masked output, with warnings on stderr
+    as a fresh process prints them and help text 80 columns wide."""
+    out, err = io.StringIO(), io.StringIO()
+    handler = logging.StreamHandler(err)
+    handler.setFormatter(logging.Formatter("%(levelname)s %(message)s"))
+    root = logging.getLogger()
+    root.addHandler(handler)
+    try:
+        with mock.patch.dict(os.environ, {"COLUMNS": "80"}), contextlib.redirect_stdout(
+            out
+        ), contextlib.redirect_stderr(err):
+            code = main(argv)
+    finally:
+        root.removeHandler(handler)
+    fmt = argv[argv.index("--format") + 1] if "--format" in argv else "table"
+    return {"argv": argv, "code": code, "out": mask(out.getvalue(), fmt), "err": err.getvalue()}
+
+
+@pytest.fixture(scope="module")
+def golden():
+    return json.loads(GOLDEN.read_text(encoding="utf-8"))
+
+
+def test_golden_file_covers_every_case(golden):
+    assert list(golden) == list(CASES)
+
+
+@pytest.mark.parametrize("case", list(CASES))
+def test_cli_output_matches_the_golden_file(golden, case):
+    assert run_case(CASES[case]) == golden[case]
+
+
+if __name__ == "__main__":
+    matrix = {case: run_case(argv) for case, argv in CASES.items()}
+    GOLDEN.write_text(json.dumps(matrix, indent=1) + "\n", encoding="utf-8")
+    sys.stdout.write(f"wrote {len(matrix)} cases to {GOLDEN}\n")
