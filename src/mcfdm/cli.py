@@ -44,7 +44,7 @@ from .model import (
     build_grid,
 )
 from .monte_carlo import McConfig, price_monte_carlo
-from .oracle import black_scholes_price
+from .oracle import _scored, black_scholes_price
 
 __all__ = [
     "JobSpec",
@@ -263,8 +263,11 @@ class TableReport:
                     f"{'-':>12}{'-':>12}  {note}"
                 )
                 continue
+            price = f"{row.price:.5f}"
+            if len(price) > 13:  # too wide for its column: 6 significant digits
+                price = f"{row.price:.6g}"
             lines.append(
-                f"{row.method:<12}{row.maturity_years:>10g}{row.price:>14.5f}"
+                f"{row.method:<12}{row.maturity_years:>10g}{price:>14}"
                 f"{'(' + format_error(row.abs_error) + ')':>12}"
                 f"{row.elapsed_seconds:>11.4f}s  {_notes(row.metadata)}"
             )
@@ -318,10 +321,7 @@ def _mc_steps(job: JobSpec) -> int:
 def _exact(contract: OptionContract, market: MarketParams) -> PricingResult:
     t_start = time.perf_counter()
     price = black_scholes_price(contract, market)
-    elapsed = time.perf_counter() - t_start
-    return PricingResult(
-        method=Method.EXACT, price=price, abs_error=0.0, elapsed_seconds=elapsed
-    )
+    return _scored(Method.EXACT, contract, market, price, t_start, {})
 
 
 @dataclass(frozen=True, slots=True)

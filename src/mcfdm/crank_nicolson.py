@@ -9,6 +9,7 @@ and each level costs one back substitution.
 from __future__ import annotations
 
 import time
+from functools import partial
 
 import numpy as np
 
@@ -18,12 +19,9 @@ from .model import (
     Method,
     OptionContract,
     PricingResult,
-    _boundaries,
-    _march,
-    _operator,
-    payoff,
+    _solve_grid,
 )
-from .oracle import black_scholes_price
+from .oracle import _scored
 
 __all__ = [
     "crank_nicolson_surface",
@@ -31,23 +29,8 @@ __all__ = [
 ]
 
 
-def _cn_march(
-    contract: OptionContract,
-    market: MarketParams,
-    disc: Discretization,
-    *,
-    keep_surface: bool,
-) -> tuple[np.ndarray, np.ndarray | None, bool]:
-    s = disc.nodes()
-    bands = _operator(market, s[1:-1], np.ones(disc.n_space - 1), disc.ds)
-    return _march(
-        payoff(contract, s),
-        bands,
-        _boundaries(contract, market, disc),
-        disc.dt,
-        0.5,
-        keep_surface=keep_surface,
-    )
+# the classical stencil (theta = 1) at the trapezoidal time weight w = 1/2
+_cn_grid = partial(_solve_grid, thetas=1.0, time_weight=0.5)
 
 
 def solve_crank_nicolson(
@@ -62,17 +45,9 @@ def solve_crank_nicolson(
     import scipy.linalg.lapack  # noqa: F401
 
     t_start = time.perf_counter()
-    final, _, _ = _cn_march(contract, market, disc, keep_surface=False)
-    price = float(np.interp(contract.spot, disc.nodes(), final))
-    elapsed = time.perf_counter() - t_start
-    exact = black_scholes_price(contract, market)
-    return PricingResult(
-        method=Method.CFDM,
-        price=price,
-        abs_error=abs(price - exact),
-        elapsed_seconds=elapsed,
-        extra={"n_space": disc.n_space, "n_time": disc.n_time},
-    )
+    price, _, _ = _cn_grid(contract, market, disc, keep_surface=False)
+    extra = {"n_space": disc.n_space, "n_time": disc.n_time}
+    return _scored(Method.CFDM, contract, market, price, t_start, extra)
 
 
 def crank_nicolson_surface(
@@ -82,5 +57,4 @@ def crank_nicolson_surface(
 ) -> np.ndarray:
     """Full backward-time price surface of shape ``(n_time + 1, n_space + 1)``
     (level 0 is the payoff)."""
-    _, levels, _ = _cn_march(contract, market, disc, keep_surface=True)
-    return levels
+    return _cn_grid(contract, market, disc, keep_surface=True)[1]

@@ -14,13 +14,16 @@ class ValidationError(McfdmError, ValueError):
 class StabilityError(McfdmError):
     """The requested time step exceeds the explicit scheme's stable bound."""
 
-    def __init__(self, dt: float, dt_max: float, n_time_min: int) -> None:
+    def __init__(self, dt: float, dt_max: float, n_time_min: int | None) -> None:
         self.dt = dt
         self.dt_max = dt_max
         self.n_time_min = n_time_min
+        remedy = f"use n_time >= {n_time_min} or"
+        if n_time_min is None:
+            remedy = "no time grid meets the bound; use"
         super().__init__(
             f"time step dt={dt:.6e} exceeds the stable bound dt_max={dt_max:.6e}; "
-            f"use n_time >= {n_time_min} or allow_unstable=True"
+            f"{remedy} allow_unstable=True"
         )
 
 

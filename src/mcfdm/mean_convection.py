@@ -26,12 +26,9 @@ from .model import (
     Method,
     OptionContract,
     PricingResult,
-    _boundaries,
-    _march,
-    _operator,
-    payoff,
+    _solve_grid,
 )
-from .oracle import black_scholes_price
+from .oracle import _scored
 
 __all__ = [
     "McfdmReport",
@@ -162,48 +159,31 @@ def solve_mcfdm(
         than ``OSCILLATION_TOLERANCE`` in a single step).
     """
     t_start = time.perf_counter()
-    s = disc.nodes()
-    s_interior = s[1:-1]
+    s_interior = disc.nodes()[1:-1]
     thetas = _theta_values(market, s_interior, disc.ds, config)
     dt_max = _dt_max(market, s_interior, thetas, disc.ds)
     if disc.dt > dt_max:
         if not allow_unstable:
-            raise StabilityError(
-                dt=disc.dt,
-                dt_max=dt_max,
-                n_time_min=math.ceil(contract.maturity / dt_max),
-            )
+            # a bound that underflows leaves no time grid that meets it
+            steps = contract.maturity / dt_max if dt_max > 0.0 else math.inf
+            n_time_min = math.ceil(steps) if math.isfinite(steps) else None
+            raise StabilityError(dt=disc.dt, dt_max=dt_max, n_time_min=n_time_min)
         logger.warning(
             "running past the stability bound: dt=%.3e > dt_max=%.3e",
             disc.dt,
             dt_max,
         )
-    bands = _operator(market, s_interior, thetas, disc.ds)
-    v, levels, oscillation = _march(
-        payoff(contract, s),
-        bands,
-        _boundaries(contract, market, disc),
-        disc.dt,
-        0.0,
-        keep_surface=keep_surface,
+    price, levels, oscillation = _solve_grid(
+        contract, market, disc, thetas, 0.0, keep_surface=keep_surface
     )
-    price = float(np.interp(contract.spot, s, v))
-    elapsed = time.perf_counter() - t_start
-
-    exact = black_scholes_price(contract, market)
-    result = PricingResult(
-        method=Method.MCFDM,
-        price=price,
-        abs_error=abs(price - exact),
-        elapsed_seconds=elapsed,
-        extra={
-            "theta_scale": config.scaling,
-            "theta_mode": "normalized" if config.normalize else "literal",
-            "alpha_profile": market.alpha_profile.value,
-            "n_space": disc.n_space,
-            "n_time": disc.n_time,
-            "cfl_margin": dt_max / disc.dt,
-            "oscillation": oscillation,
-        },
-    )
+    extra = {
+        "theta_scale": config.scaling,
+        "theta_mode": "normalized" if config.normalize else "literal",
+        "alpha_profile": market.alpha_profile.value,
+        "n_space": disc.n_space,
+        "n_time": disc.n_time,
+        "cfl_margin": dt_max / disc.dt,
+        "oscillation": oscillation,
+    }
+    result = _scored(Method.MCFDM, contract, market, price, t_start, extra)
     return McfdmReport(result=result, surface=levels)

@@ -171,7 +171,7 @@ def payoff(contract: OptionContract, s):
 def _operator(
     market: MarketParams,
     s_interior: np.ndarray,
-    thetas: np.ndarray,
+    thetas: np.ndarray | float,
     ds: float,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Bands (lower, center, upper) of the Black-Scholes spatial operator L.
@@ -179,7 +179,7 @@ def _operator(
     At each interior node, L v = d (v+ - 2 v + v-) + c (v+ - v-) - r v with
     diffusion d = sigma^2 S^2 / (2 ds^2) and convection c = r S theta / (2 ds):
     the central flux difference of the convection term, scaled by the
-    per-node fitting factor ``thetas`` (ones give the classical stencil).
+    fitting factor ``thetas``, per node or one scalar (1 is the classical stencil).
     """
     diffusion = 0.5 * market.sigma**2 * s_interior**2 / ds**2
     convection = market.r * s_interior * thetas / (2.0 * ds)
@@ -287,6 +287,30 @@ def _march(
             levels[start + 1 : start + m + 1] = block
         ring[0] = ring[m]
     return ring[0].copy(), levels, oscillation
+
+
+def _solve_grid(
+    contract: OptionContract,
+    market: MarketParams,
+    disc: Discretization,
+    thetas: np.ndarray | float,
+    time_weight: float,
+    *,
+    keep_surface: bool,
+) -> tuple[float, np.ndarray | None, bool]:
+    """Price at the spot, surface (``None`` unless ``keep_surface``) and
+    oscillation flag of the payoff marched on ``disc``, with ``thetas`` as in
+    :func:`_operator` and ``time_weight`` as in :func:`_march`."""
+    s = disc.nodes()
+    final, levels, oscillation = _march(
+        payoff(contract, s),
+        _operator(market, s[1:-1], thetas, disc.ds),
+        _boundaries(contract, market, disc),
+        disc.dt,
+        time_weight,
+        keep_surface=keep_surface,
+    )
+    return float(np.interp(contract.spot, s, final)), levels, oscillation
 
 
 def build_grid(

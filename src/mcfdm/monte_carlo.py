@@ -27,7 +27,7 @@ from .model import (
     _require_count,
     payoff,
 )
-from .oracle import black_scholes_price
+from .oracle import _scored
 
 __all__ = ["McConfig", "price_monte_carlo", "sample_terminal_price"]
 
@@ -202,18 +202,11 @@ def price_monte_carlo(
         se = discount * math.sqrt(variance / n)
     else:
         se = None
-    elapsed = time.perf_counter() - t_start
-    exact = black_scholes_price(contract, market)
-    return PricingResult(
-        method=Method.MONTE_CARLO,
-        price=price,
-        abs_error=abs(price - exact),
-        elapsed_seconds=elapsed,
-        extra={
-            "se": se,
-            "paths": n,
-            "seed": config.seed,
-            "n_time_steps": config.n_time_steps,
-            "n_workers": n_workers,
-        },
-    )
+    extra = {
+        "se": se,
+        "paths": n,
+        "seed": config.seed,
+        "n_time_steps": config.n_time_steps,
+        "n_workers": n_workers,
+    }
+    return _scored(Method.MONTE_CARLO, contract, market, price, t_start, extra)

@@ -8,9 +8,10 @@ quadrature against the lognormal terminal density.
 from __future__ import annotations
 
 import math
+import time
 
 from .errors import QuadratureError, ValidationError
-from .model import MarketParams, OptionContract, OptionKind
+from .model import MarketParams, Method, OptionContract, OptionKind, PricingResult
 
 __all__ = [
     "black_scholes_price",
@@ -58,6 +59,26 @@ def black_scholes_price(
     if contract.kind is OptionKind.CALL:
         return s0 * std_normal_cdf(d1) - df_strike * std_normal_cdf(d2)
     return df_strike * std_normal_cdf(-d2) - s0 * std_normal_cdf(-d1)
+
+
+def _scored(
+    method: Method,
+    contract: OptionContract,
+    market: MarketParams,
+    price: float,
+    t_start: float,
+    extra: dict,
+) -> PricingResult:
+    """Stop the clock started at ``t_start``, then score ``price`` against
+    the closed form, outside the solve's time."""
+    elapsed = time.perf_counter() - t_start
+    return PricingResult(
+        method=method,
+        price=price,
+        abs_error=abs(price - black_scholes_price(contract, market)),
+        elapsed_seconds=elapsed,
+        extra=extra,
+    )
 
 
 def risk_neutral_integral_price(

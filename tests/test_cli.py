@@ -484,6 +484,52 @@ class TestOverflowingSolve:
         assert captured.out.count("OverflowError") == 3
 
 
+class TestStabilityBoundThatUnderflows:
+    # k = 1e308 puts dt_max at ~2e-309, or at 0.0 with r = 10
+    @pytest.mark.parametrize("rate", [[], ["--rate", "10"]], ids=["tiny", "zero"])
+    def test_theta_study_reports_a_stability_row_and_exits_three(self, capsys, rate):
+        assert main(["theta-study", "--scaling", "1e308", *rate]) == 3
+        out = capsys.readouterr().out
+        assert "ERROR[stability]: " in out
+        assert "no time grid meets the bound; use allow_unstable=True" in out
+
+
+class TestWidePriceInText:
+    @staticmethod
+    def _price_cell(price):
+        row = ReportRow(
+            method="Exact", maturity_years=1.0, price=price, abs_error=0.0,
+            elapsed_seconds=0.0,
+        )
+        line = TableReport(provenance={}, rows=(row,)).to_text().splitlines()[-1]
+        # method takes 12 columns and maturity 10, then the 14-wide price
+        return line[22:36]
+
+    @pytest.mark.parametrize(
+        ("price", "cell"),
+        [
+            (0.0, "       0.00000"),
+            (0.52316, "       0.52316"),
+            (9999999.99999, " 9999999.99999"),
+            (-999999.5, " -999999.50000"),
+        ],
+    )
+    def test_price_that_fits_keeps_five_decimals(self, price, cell):
+        assert self._price_cell(price) == cell
+
+    @pytest.mark.parametrize(
+        ("price", "cell"),
+        [
+            (123359989303.68726, "    1.2336e+11"),
+            (1e7, "         1e+07"),
+            (-1.5e6, "      -1.5e+06"),
+            (-1.2345678e200, " -1.23457e+200"),
+        ],
+    )
+    def test_wide_price_keeps_a_space_before_its_column(self, price, cell):
+        assert self._price_cell(price) == cell
+
+
 class TestNonFiniteRowFields:
     def test_monte_carlo_standard_error_that_is_nan_fails_its_row(self, capsys):
         argv = [

@@ -38,6 +38,7 @@ CASES = {
     "price-pooled-mc-json": [
         "price", "--method", "mc", "--paths", "8192", "--mc-steps", "64", "--format", "json",
     ],
+    "price-huge-exact-text": ["price", "--spot", "1e12", "--strike", "1e12", "--method", "exact"],
     "table-text": ["table", *_SMALL, "--maturity", "0.25", "--maturity", "1"],
     "table-csv": ["table", *_SMALL, "--method", "cfdm", "--kind", "put", "--format", "csv"],
     "table-json": ["table", "--method", "exact", "--spot", "7", "--strike", "7.5", "--format", "json"],
@@ -67,6 +68,7 @@ CASES = {
     "stability-csv": [
         "theta-study", "--kind", "put", "--scaling", "1", "--scaling", "80", "--format", "csv",
     ],
+    "stability-underflow-text": ["theta-study", "--scaling", "1e308"],
     "diverging-json": [
         "price", "--method", "mcfdm", "--theta-scale", "30", "--allow-unstable",
         "--n-space", "400", "--format", "json",

@@ -274,6 +274,17 @@ class TestSolveMcfdm:
         assert "1.619269e-03" in str(excinfo.value)
         assert str(excinfo.value.n_time_min) in str(excinfo.value)
 
+    @pytest.mark.parametrize("r", [0.05, 10.0])
+    def test_bound_that_underflows_is_a_stability_rejection(self, r):
+        # k = 1e308 puts dt_max at ~2e-309 (r = 0.05) or at 0.0 (r = 10),
+        # so T / dt_max is no finite step count; at r = 10 the bound's
+        # denominator overflows on the way
+        with np.errstate(over="ignore"), pytest.raises(StabilityError) as excinfo:
+            solve_mcfdm(contract(), market(r=r), build_grid(contract()), ThetaConfig(1e308))
+        assert excinfo.value.dt_max < 1e-300
+        assert excinfo.value.n_time_min is None
+        assert "no time grid meets the bound" in str(excinfo.value)
+
     def test_allow_unstable_override_runs(self):
         c = contract(strike=7.5, spot=7.0)
         report = solve_mcfdm(

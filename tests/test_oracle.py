@@ -1,19 +1,27 @@
 import math
+import time
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import mcfdm.oracle
 from mcfdm import (
+    McConfig,
     MarketParams,
     OptionContract,
     OptionKind,
     QuadratureError,
     ValidationError,
     black_scholes_price,
+    build_grid,
+    price_monte_carlo,
     risk_neutral_integral_price,
+    solve_crank_nicolson,
+    solve_mcfdm,
     std_normal_cdf,
 )
+from mcfdm.cli import JobSpec, run_table
 
 CALL = OptionKind.CALL
 PUT = OptionKind.PUT
@@ -148,3 +156,48 @@ class TestRiskNeutralIntegralPrice:
         )
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout.strip() == "False"
+
+
+class TestOracleOutsideTheClock:
+    """Each engine stops its clock before it scores its price against the
+    closed form; only the Exact row, whose solve is the closed form, times
+    it."""
+
+    DELAY = 0.1
+
+    @staticmethod
+    def solves():
+        c = contract()
+        disc = build_grid(c, n_space=20, n_time=100)
+        return {
+            "MCFDM": lambda: solve_mcfdm(c, market(), disc).result,
+            "CFDM": lambda: solve_crank_nicolson(c, market(), disc),
+            "MonteCarlo": lambda: price_monte_carlo(
+                c, market(), McConfig(n_paths=1000), n_workers=1
+            ),
+        }
+
+    def slow_down_the_cdf(self, monkeypatch):
+        real = std_normal_cdf
+
+        def slow(x):
+            time.sleep(self.DELAY)
+            return real(x)
+
+        monkeypatch.setattr(mcfdm.oracle, "std_normal_cdf", slow)
+
+    @pytest.mark.parametrize("method", ["MCFDM", "CFDM", "MonteCarlo"])
+    def test_engine_time_excludes_the_oracle(self, monkeypatch, method):
+        solve = self.solves()[method]
+        fast = solve()
+        self.slow_down_the_cdf(monkeypatch)
+        slow = solve()
+        assert slow.elapsed_seconds < self.DELAY
+        assert (slow.price, slow.abs_error) == (fast.price, fast.abs_error)
+
+    def test_exact_row_times_the_closed_form(self, monkeypatch):
+        self.slow_down_the_cdf(monkeypatch)
+        (row,) = run_table([1.0], JobSpec(method="Exact")).rows
+        assert row.elapsed_seconds >= self.DELAY
+        assert row.price == black_scholes_price(contract(), market())
+        assert row.abs_error == 0.0
