@@ -162,7 +162,8 @@ def solve_mcfdm(
     s_interior = disc.nodes()[1:-1]
     thetas = _theta_values(market, s_interior, disc.ds, config)
     dt_max = _dt_max(market, s_interior, thetas, disc.ds)
-    if disc.dt > dt_max:
+    # a NaN bound (r = 0 times a theta that overflows) rejects every step
+    if not disc.dt <= dt_max:
         if not allow_unstable:
             # a bound that underflows leaves no time grid that meets it
             steps = contract.maturity / dt_max if dt_max > 0.0 else math.inf

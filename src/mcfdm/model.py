@@ -29,7 +29,7 @@ _REL_TOL = 1e-9
 # single-step excess over the neighborhood maximum that counts as oscillation
 OSCILLATION_TOLERANCE = 1e-9
 # levels a march writes in place between oscillation scans (a 106 kB ring
-# of 33 levels at 400 nodes)
+# of 33 levels at 400 nodes, and a scan buffer of 32)
 _MARCH_ROWS = 32
 
 
@@ -219,15 +219,20 @@ def _march(
     the Dirichlet values from :func:`_boundaries` (one entry per step), and
     ``w`` is the time weight: 0 is the explicit step, 1/2 is Crank-Nicolson.
     The implicit matrix is the same at every step, so it is factored once.
-    Steps write blocks of ``_MARCH_ROWS`` levels in place into a ring.
+    Steps write blocks of ``_MARCH_ROWS`` levels in place into a ring; each
+    explicit step is five ufunc calls with positional outputs (numpy's
+    per-call overhead, not arithmetic, dominates at a few hundred nodes),
+    and an implicit step then solves into the ring row with ``dgttrs``.
 
     Returns the last level, the surface of all levels (``None`` unless
     ``keep_surface``) and the oscillation flag. The flag is the explicit
     step's maximum-principle check, set when an interior node exceeds the
     maximum of its previous-level neighborhood by more than
-    ``OSCILLATION_TOLERANCE`` (checked per block, step by step; a step with
-    a NaN does not count). An implicit step is not a weighted average of
-    that neighborhood, so it skips the check and the flag reads False.
+    ``OSCILLATION_TOLERANCE`` (a step with a NaN does not count). It scans a
+    block's levels as one flat run, so the two entries per level that
+    straddle the seam to the next level are computed but never read. An
+    implicit step is not a weighted average of that neighborhood, so it
+    skips the check and the flag reads False.
     """
     lower, center, upper = bands
     bc_lower, bc_upper = boundaries
@@ -251,15 +256,20 @@ def _march(
             raise SingularSystemError(
                 f"implicit matrix is singular (LAPACK dgttrf info={info})"
             )
+        lower_terms = (i_lower[0] * bc_lower).tolist()
+        upper_terms = (i_upper[-1] * bc_upper).tolist()
     n_steps = bc_lower.size
-    ring = np.empty((min(_MARCH_ROWS, n_steps) + 1, level.size))
+    width = level.size
+    ring = np.empty((min(_MARCH_ROWS, n_steps) + 1, width))
     ring[0] = level
     # per ring row: views of the level before it, and its interior to write
     steps = [(a[:-2], a[1:-1], a[2:], b[1:-1]) for a, b in zip(ring[:-1], ring[1:])]
-    scratch = np.empty(level.size - 2)
-    levels = np.empty((n_steps + 1, level.size)) if keep_surface else None
+    scratch = np.empty(width - 2)
+    excess = np.empty(ring[1:].size)
+    levels = np.empty((n_steps + 1, width)) if keep_surface else None
     if keep_surface:
         levels[0] = level
+    multiply, add = np.multiply, np.add
     oscillation = False
     for start in range(0, n_steps, _MARCH_ROWS):
         m = min(_MARCH_ROWS, n_steps - start)
@@ -267,22 +277,24 @@ def _march(
         block[:, 0] = bc_lower[start : start + m]
         block[:, -1] = bc_upper[start : start + m]
         for n, (left, mid, right, inner) in enumerate(steps[:m], start):
-            np.multiply(e_lower, left, out=inner)
-            np.multiply(e_center, mid, out=scratch)
-            inner += scratch
-            np.multiply(e_upper, right, out=scratch)
-            inner += scratch
+            multiply(e_lower, left, inner)
+            multiply(e_center, mid, scratch)
+            add(inner, scratch, inner)
+            multiply(e_upper, right, scratch)
+            add(inner, scratch, inner)
             if implicit:
-                inner[0] += i_lower[0] * bc_lower[n]
-                inner[-1] += i_upper[-1] * bc_upper[n]
-                inner[...] = dgttrs(*factors, inner)[0]
+                inner[0] += lower_terms[n]
+                inner[-1] += upper_terms[n]
+                dgttrs(*factors, inner, overwrite_b=True)
         if not (implicit or oscillation):
-            # each step's excess over its previous level's neighborhood maximum
-            prev = ring[:m]
-            excess = np.maximum(prev[:, :-2], prev[:, 1:-1])
-            np.maximum(excess, prev[:, 2:], out=excess)
-            np.subtract(block[:, 1:-1], excess, out=excess)
-            oscillation = bool((excess.max(axis=1) > OSCILLATION_TOLERANCE).any())
+            # flat entry j: level j // width's excess at node j % width + 1
+            prev = ring[:m].reshape(-1)
+            run = excess[: m * width - 2]
+            np.maximum(prev[:-2], prev[1:-1], out=run)
+            np.maximum(run, prev[2:], out=run)
+            np.subtract(block.reshape(-1)[1:-1], run, run)
+            per_step = excess[: m * width].reshape(m, width)[:, :-2].max(axis=1)
+            oscillation = bool((per_step > OSCILLATION_TOLERANCE).any())
         if keep_surface:
             levels[start + 1 : start + m + 1] = block
         ring[0] = ring[m]

@@ -493,6 +493,15 @@ class TestStabilityBoundThatUnderflows:
         assert "ERROR[stability]: " in out
         assert "no time grid meets the bound; use allow_unstable=True" in out
 
+    def test_nan_bound_reports_a_stability_row_and_exits_three(self, capsys):
+        # at r = 0 the overflowing literal theta makes dt_max NaN
+        argv = ["theta-study", "--scaling", "1e308", "--rate", "0",
+                "--theta-mode", "literal", "--n-space", "2000", "--n-time", "10"]
+        assert main(argv) == 3
+        out = capsys.readouterr().out
+        assert "ERROR[stability]: " in out
+        assert "dt_max=nan; no time grid meets the bound" in out
+
 
 class TestWidePriceInText:
     @staticmethod

@@ -285,6 +285,19 @@ class TestSolveMcfdm:
         assert excinfo.value.n_time_min is None
         assert "no time grid meets the bound" in str(excinfo.value)
 
+    def test_nan_bound_is_a_stability_rejection(self):
+        # at r = 0 a literal theta that overflows to inf makes the bound's
+        # convection term 0 * inf = NaN; no step compares below a NaN bound
+        job = contract(), market(r=0.0), build_grid(contract(), n_space=2000, n_time=10)
+        config = ThetaConfig(1e308, normalize=False)
+        with np.errstate(over="ignore", invalid="ignore"):
+            assert math.isnan(max_stable_dt(job[1], job[2], config))
+            with pytest.raises(StabilityError) as excinfo:
+                solve_mcfdm(*job, config)
+        assert math.isnan(excinfo.value.dt_max)
+        assert excinfo.value.n_time_min is None
+        assert "no time grid meets the bound" in str(excinfo.value)
+
     def test_allow_unstable_override_runs(self):
         c = contract(strike=7.5, spot=7.0)
         report = solve_mcfdm(

@@ -264,6 +264,71 @@ class TestMarch:
         assert np.isnan(final).any()
         assert oscillation
 
+    def test_nan_bands_of_a_nan_bound_void_every_step(self):
+        # at r = 0 a literal theta that overflows to inf makes dt_max NaN and
+        # the convection band 0 * inf = NaN, so the first step is all NaN
+        contract = OptionContract(kind=CALL, strike=5.5, maturity=1.0, spot=5.0)
+        market = MarketParams(r=0.0, sigma=0.25)
+        disc = build_grid(contract, n_space=2000, n_time=10)
+        s = disc.nodes()
+        config = ThetaConfig(scaling=1e308, normalize=False)
+        with np.errstate(over="ignore", invalid="ignore"):
+            thetas = _theta_values(market, s[1:-1], disc.ds, config)
+            bands = _operator(market, s[1:-1], thetas, disc.ds)
+            final, _, oscillation = assert_marches_agree(
+                payoff(contract, s), bands, _boundaries(contract, market, disc),
+                disc.dt, time_weight=0.0, keep_surface=True,
+            )
+        assert np.isnan(final[1:-1]).all()
+        assert not oscillation
+
+    @pytest.mark.parametrize("rising", ["lower", "upper"])
+    def test_rising_boundary_sets_no_flag(self, rising):
+        # each level's boundary value rises by 1 per step (as a call's upper
+        # boundary does) while the interior stays at 0; only the flat scan's
+        # entries that straddle two levels see that rise
+        n, n_steps = 11, 2 * model._MARCH_ROWS + 1
+        bands = (np.zeros(n - 2), np.zeros(n - 2), np.zeros(n - 2))
+        rise = np.arange(1.0, n_steps + 1)
+        boundaries = (rise, np.zeros(n_steps))
+        if rising == "upper":
+            boundaries = boundaries[::-1]
+        _, _, oscillation = assert_marches_agree(
+            np.zeros(n), bands, boundaries, 1e-3, time_weight=0.0, keep_surface=False
+        )
+        assert not oscillation
+
+    @pytest.mark.parametrize("node", [0, -1])
+    def test_excess_at_one_edge_node_sets_the_flag(self, node):
+        # only the first (or last) interior node grows, by 1e-6 per step
+        n, n_steps = 11, model._MARCH_ROWS + 1
+        center = np.zeros(n - 2)
+        center[node] = 1e-3
+        bands = (np.zeros(n - 2), center, np.zeros(n - 2))
+        boundaries = (np.ones(n_steps), np.ones(n_steps))
+        final, _, oscillation = assert_marches_agree(
+            np.ones(n), bands, boundaries, 1e-3, time_weight=0.0, keep_surface=False
+        )
+        grown = np.flatnonzero(final > 1.0)
+        assert grown.tolist() == [np.arange(n)[1:-1][node]]
+        assert oscillation
+
+    def test_implicit_step_solves_into_the_row_it_is_given(self):
+        # the march relies on dgttrs writing its solution over a contiguous
+        # float64 row in place; a scipy that copies it would leave the ring
+        # holding the right-hand side instead of the solution
+        from scipy.linalg.lapack import dgttrf, dgttrs
+
+        *factors, info = dgttrf(np.full(4, -1.0), np.full(5, 4.0), np.full(4, -1.0))
+        ring = np.ones((2, 7))
+        inner = ring[1, 1:-1]
+        x, info = dgttrs(*factors, inner, overwrite_b=True)
+        assert info == 0
+        assert x is inner
+        matrix = 4.0 * np.eye(5) - np.eye(5, k=1) - np.eye(5, k=-1)
+        np.testing.assert_allclose(matrix @ ring[1, 1:-1], np.ones(5), rtol=1e-14)
+        assert ring[1, 0] == ring[1, -1] == 1.0
+
     def test_rounding_on_a_plateau_sets_the_flag(self):
         # all weights are >= 0 at r = 0, yet a constant level of 1e9 comes
         # back a rounding error above itself, which exceeds the tolerance
