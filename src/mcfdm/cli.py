@@ -41,6 +41,7 @@ from .model import (
     OptionContract,
     OptionKind,
     PricingResult,
+    _require_count,
     build_grid,
 )
 from .monte_carlo import McConfig, price_monte_carlo
@@ -236,6 +237,11 @@ class TableReport:
             "rows": [
                 {
                     **asdict(row),
+                    # NaN and inf are not JSON: an unbounded cfl_margin is null
+                    "metadata": {
+                        k: None if isinstance(v, float) and not math.isfinite(v) else v
+                        for k, v in row.metadata.items()
+                    },
                     "abs_error_text": None
                     if row.abs_error is None
                     else format_error(row.abs_error),
@@ -483,8 +489,7 @@ def run_timing(job: JobSpec, repeats: int = 5) -> TableReport:
     job's full time grid here unless ``mc_steps`` pins a step count, so
     all methods advance through the same number of time levels.
     """
-    if not _fits(repeats, int) or repeats < 3:
-        raise ValidationError(f"repeats must be an int >= 3, got {repeats!r}")
+    _require_count("repeats", repeats, 3)
     if job.mc_steps is None:
         job = replace(job, mc_steps=job.n_time)
     plan = _plan(_methods_for(job, numerical_only=True), [job])

@@ -99,37 +99,30 @@ def _theta_values(
     return config.scaling * (ds / (shape * cell))
 
 
-def _dt_max(
-    market: MarketParams,
-    s_interior: np.ndarray,
-    thetas: np.ndarray,
-    ds: float,
-) -> float:
-    """Stable explicit step bound shared by the solver and ``max_stable_dt``."""
-    denom = (
-        market.sigma**2 * s_interior**2
-        + market.r * s_interior * thetas * ds
-        + market.r * ds**2
-    )
-    worst = float(denom.max())
-    if worst == 0.0:
-        return math.inf
-    return ds**2 / worst
-
-
 def max_stable_dt(
     market: MarketParams,
     disc: Discretization,
     config: ThetaConfig,
 ) -> float:
-    """Largest stable explicit time step over the interior nodes.
+    """Largest stable explicit time step over the interior nodes, in [0, inf].
 
-    Returns ``inf`` when neither diffusion nor convection constrains the
-    step (the unconstrained sentinel).
+    Returns ``inf`` when nothing constrains the step (at r = 0, when
+    sigma^2 S^2 underflows), and ``0.0`` when no step is stable: the bound
+    underflows, or r = 0 meets a theta that overflows to inf and the
+    convection term 0 * inf is NaN.
     """
-    s_interior = disc.nodes()[1:-1]
-    thetas = _theta_values(market, s_interior, disc.ds, config)
-    return _dt_max(market, s_interior, thetas, disc.ds)
+    s = disc.nodes()[1:-1]
+    ds = disc.ds
+    # overflow and NaN are mapped to the bound's ends below
+    with np.errstate(over="ignore", invalid="ignore"):
+        thetas = _theta_values(market, s, ds, config)
+        denom = market.sigma**2 * s**2 + market.r * s * thetas * ds + market.r * ds**2
+    worst = float(denom.max())
+    if worst == 0.0:
+        return math.inf
+    if math.isnan(worst):
+        return 0.0
+    return ds**2 / worst
 
 
 def solve_mcfdm(
@@ -159,13 +152,11 @@ def solve_mcfdm(
         than ``OSCILLATION_TOLERANCE`` in a single step).
     """
     t_start = time.perf_counter()
-    s_interior = disc.nodes()[1:-1]
-    thetas = _theta_values(market, s_interior, disc.ds, config)
-    dt_max = _dt_max(market, s_interior, thetas, disc.ds)
-    # a NaN bound (r = 0 times a theta that overflows) rejects every step
-    if not disc.dt <= dt_max:
+    dt_max = max_stable_dt(market, disc, config)
+    if disc.dt > dt_max:
         if not allow_unstable:
-            # a bound that underflows leaves no time grid that meets it
+            # a bound of 0.0, or one so small that T / dt_max overflows,
+            # leaves no time grid that meets it
             steps = contract.maturity / dt_max if dt_max > 0.0 else math.inf
             n_time_min = math.ceil(steps) if math.isfinite(steps) else None
             raise StabilityError(dt=disc.dt, dt_max=dt_max, n_time_min=n_time_min)
@@ -174,6 +165,7 @@ def solve_mcfdm(
             disc.dt,
             dt_max,
         )
+    thetas = _theta_values(market, disc.nodes()[1:-1], disc.ds, config)
     price, levels, oscillation = _solve_grid(
         contract, market, disc, thetas, 0.0, keep_surface=keep_surface
     )

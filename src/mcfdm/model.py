@@ -37,7 +37,7 @@ def _require_count(name: str, value: object, minimum: int) -> None:
     """Reject a count that is not an int, or is below ``minimum``."""
     # a bool is an int to isinstance, but True is no count of anything
     if isinstance(value, bool) or not isinstance(value, int) or value < minimum:
-        raise ValidationError(f"{name} must be an int >= {minimum}, got {value}")
+        raise ValidationError(f"{name} must be an int >= {minimum}, got {value!r}")
 
 
 class OptionKind(enum.Enum):

@@ -69,6 +69,10 @@ CASES = {
         "theta-study", "--kind", "put", "--scaling", "1", "--scaling", "80", "--format", "csv",
     ],
     "stability-underflow-text": ["theta-study", "--scaling", "1e308"],
+    "stability-nan-text": [
+        "theta-study", "--scaling", "1e308", "--rate", "0", "--theta-mode", "literal",
+        "--n-space", "2000", "--n-time", "10",
+    ],
     "diverging-json": [
         "price", "--method", "mcfdm", "--theta-scale", "30", "--allow-unstable",
         "--n-space", "400", "--format", "json",
@@ -147,6 +151,22 @@ def test_golden_file_covers_every_case(golden):
 @pytest.mark.parametrize("case", list(CASES))
 def test_cli_output_matches_the_golden_file(golden, case):
     assert run_case(CASES[case]) == golden[case]
+
+
+def _refuse(constant: str):
+    raise AssertionError(f"the report holds {constant}, which is not JSON")
+
+
+# an unbounded step: at r = 0, sigma^2 S^2 underflows and cfl_margin is inf
+_JSON_ARGVS = [argv for argv in CASES.values() if "json" in argv] + [
+    ["price", "--vol", "1e-200", "--rate", "0", "--method", "mcfdm", "--format", "json"],
+]
+
+
+@pytest.mark.parametrize("argv", _JSON_ARGVS, ids=" ".join)
+def test_json_report_parses_as_strict_json(capsys, argv):
+    main(argv)
+    json.loads(capsys.readouterr().out, parse_constant=_refuse)
 
 
 if __name__ == "__main__":

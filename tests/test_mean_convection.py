@@ -237,6 +237,21 @@ class TestMaxStableDt:
         value = max_stable_dt(market(r=0.0, sigma=1e-8), disc, ThetaConfig())
         assert value > 1e10
 
+    def test_underflowing_diffusion_at_zero_rate_unconstrains_the_bound(self):
+        disc = build_grid(contract(), n_space=100, n_time=1000)
+        assert max_stable_dt(market(r=0.0, sigma=1e-200), disc, ThetaConfig()) == math.inf
+
+    @pytest.mark.parametrize("n_space", [100, 2000])
+    @pytest.mark.parametrize("normalize", [True, False])
+    @pytest.mark.parametrize("r", [0.0, 0.05, 10.0])
+    @pytest.mark.parametrize("scaling", [1.0, 1e308])
+    def test_bound_is_never_nan(self, scaling, r, normalize, n_space):
+        # no np.errstate here: the bound maps overflow and NaN itself, and
+        # a RuntimeWarning fails the test
+        disc = build_grid(contract(), n_space=n_space, n_time=10)
+        value = max_stable_dt(market(r=r), disc, ThetaConfig(scaling, normalize))
+        assert 0.0 <= value <= math.inf
+
     def test_doubling_n_space_quarters_the_bound(self):
         coarse = max_stable_dt(
             market(), build_grid(contract(), n_space=100, n_time=1), ThetaConfig()
@@ -287,14 +302,14 @@ class TestSolveMcfdm:
 
     def test_nan_bound_is_a_stability_rejection(self):
         # at r = 0 a literal theta that overflows to inf makes the bound's
-        # convection term 0 * inf = NaN; no step compares below a NaN bound
+        # convection term 0 * inf = NaN, which the bound maps to 0.0: no
+        # step is stable
         job = contract(), market(r=0.0), build_grid(contract(), n_space=2000, n_time=10)
         config = ThetaConfig(1e308, normalize=False)
-        with np.errstate(over="ignore", invalid="ignore"):
-            assert math.isnan(max_stable_dt(job[1], job[2], config))
-            with pytest.raises(StabilityError) as excinfo:
-                solve_mcfdm(*job, config)
-        assert math.isnan(excinfo.value.dt_max)
+        assert max_stable_dt(job[1], job[2], config) == 0.0
+        with pytest.raises(StabilityError) as excinfo:
+            solve_mcfdm(*job, config)
+        assert excinfo.value.dt_max == 0.0
         assert excinfo.value.n_time_min is None
         assert "no time grid meets the bound" in str(excinfo.value)
 

@@ -377,6 +377,10 @@ class TestBuildGrid:
         with pytest.raises(ValidationError, match="must be an int >= "):
             build_grid(make_contract(), **kwargs)
 
+    def test_count_that_is_a_string_is_quoted(self):
+        with pytest.raises(ValidationError, match="n_space must be an int >= 4, got '100'"):
+            build_grid(make_contract(), n_space="100")
+
     def test_dt_is_maturity_over_n_time(self):
         disc = build_grid(make_contract(maturity=0.5), n_space=50, n_time=200)
         assert disc.dt == pytest.approx(0.0025, abs=1e-15)
