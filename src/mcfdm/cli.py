@@ -20,7 +20,6 @@ import math
 import os
 import statistics
 import sys
-import time
 from dataclasses import asdict, dataclass, field, fields, replace
 from datetime import datetime, timezone
 from functools import partial
@@ -45,7 +44,7 @@ from .model import (
     build_grid,
 )
 from .monte_carlo import McConfig, price_monte_carlo
-from .oracle import _scored, black_scholes_price
+from .oracle import _exact
 
 __all__ = [
     "JobSpec",
@@ -324,12 +323,6 @@ def _mc_steps(job: JobSpec) -> int:
     return 1 if job.mc_steps is None else job.mc_steps
 
 
-def _exact(contract: OptionContract, market: MarketParams) -> PricingResult:
-    t_start = time.perf_counter()
-    price = black_scholes_price(contract, market)
-    return _scored(Method.EXACT, contract, market, price, t_start, {})
-
-
 @dataclass(frozen=True, slots=True)
 class _Row:
     """One planned row: its labels, its grid, and its ready-to-call solve."""
@@ -428,15 +421,20 @@ def _solve_row(row: _Row, repeats: int | None = None) -> ReportRow:
         )
 
 
-def _report(job: JobSpec, rows: Sequence[ReportRow], **echo: Any) -> TableReport:
-    """The report of ``rows``, which have run, under a provenance block that
+def _report(job: JobSpec, plan: Sequence[_Row], **echo: Any) -> TableReport:
+    """Run ``plan``, then report its rows under a provenance block that
     echoes ``job`` and then ``echo``: the subcommand and its sweep.
+
+    The rows run in order, one at a time, so that each row's
+    elapsed_seconds times its solve alone; a ``repeats`` echo makes each
+    row time that many solves after a warm-up.
 
     ``scipy`` is the version of the scipy that the report's Crank-Nicolson
     and Monte Carlo rows loaded, or ``None`` when it has no such row, even
     if an earlier call in the same process loaded scipy. It is read from
     ``sys.modules``, so that writing it loads nothing.
     """
+    rows = tuple(_solve_row(row, echo.get("repeats")) for row in plan)
     job_echo = asdict(job)
     job_echo["mc_steps"] = _mc_steps(job)
     scipy = None
@@ -452,7 +450,7 @@ def _report(job: JobSpec, rows: Sequence[ReportRow], **echo: Any) -> TableReport
         "cpu_count": os.cpu_count(),
         "job": job_echo,
     }
-    return TableReport(provenance={**block, **echo}, rows=tuple(rows))
+    return TableReport(provenance={**block, **echo}, rows=rows)
 
 
 def _methods_for(job: JobSpec, numerical_only: bool = False) -> list[str]:
@@ -461,25 +459,13 @@ def _methods_for(job: JobSpec, numerical_only: bool = False) -> list[str]:
     return [job.method]
 
 
-def _numbers(values: Sequence[float], name: str) -> list[float]:
-    """``values`` as a list, checked to be nonempty and all numbers."""
-    values = list(values)
-    if not values:
-        raise ValidationError(f"{name} list must be nonempty")
-    for value in values:
-        if not _fits(value, float):
-            raise ValidationError(f"{name} must be a number, got {value!r}")
-    return values
-
-
 def run_table(maturities: Sequence[float], job: JobSpec) -> TableReport:
     """One row per (method, maturity); row failures are recorded in-row."""
-    maturities = _numbers(maturities, "maturity")
-    # rows run one at a time so that each row's elapsed_seconds times its
-    # solve alone
     jobs = [replace(job, maturity=maturity) for maturity in maturities]
-    rows = [_solve_row(row) for row in _plan(_methods_for(job), jobs)]
-    return _report(job, rows, subcommand="table", maturities=maturities)
+    if not jobs:
+        raise ValidationError("maturity list must be nonempty")
+    plan = _plan(_methods_for(job), jobs)
+    return _report(job, plan, subcommand="table", maturities=[j.maturity for j in jobs])
 
 
 def run_timing(job: JobSpec, repeats: int = 5) -> TableReport:
@@ -493,20 +479,20 @@ def run_timing(job: JobSpec, repeats: int = 5) -> TableReport:
     if job.mc_steps is None:
         job = replace(job, mc_steps=job.n_time)
     plan = _plan(_methods_for(job, numerical_only=True), [job])
-    rows = [_solve_row(row, repeats) for row in plan]
-    return _report(job, rows, subcommand="timing", repeats=repeats)
+    return _report(job, plan, subcommand="timing", repeats=repeats)
 
 
 def run_theta_study(scalings: Sequence[float], job: JobSpec) -> TableReport:
     """One MCFDM row per scaling k, sorted by k, with oscillation flags."""
-    ordered = sorted(_numbers(scalings, "scaling"))
-    jobs = [replace(job, theta_scale=scaling) for scaling in ordered]
+    jobs = [replace(job, theta_scale=scaling) for scaling in scalings]
+    if not jobs:
+        raise ValidationError("scaling list must be nonempty")
+    jobs.sort(key=lambda j: j.theta_scale)
     # the study always runs MCFDM, whatever the base job selects; the base
     # job, whose θ the provenance echoes, is planned first to check it and
     # is not run
     plan = _plan(["MCFDM"], [job, *jobs])[1:]
-    rows = [_solve_row(row) for row in plan]
-    return _report(job, rows, subcommand="theta-study", scalings=ordered)
+    return _report(job, plan, subcommand="theta-study", scalings=[j.theta_scale for j in jobs])
 
 
 def run_convergence(
@@ -535,11 +521,11 @@ def run_convergence(
             "pick mcfdm or cfdm"
         )
     jobs = [replace(job, n_space=ns, n_time=nt) for ns, nt in grids]
-    rows: list[ReportRow] = []
+    plan = _plan([job.method], jobs)
+    grid_echo = [f"{j.n_space}:{j.n_time}" for j in jobs]
+    report = _report(job, plan, subcommand="convergence", grids=grid_echo)
     previous: ReportRow | None = None
-    for planned in _plan([job.method], jobs):
-        row = _solve_row(planned)
-        rows.append(row)
+    for row, planned in zip(report.rows, plan):
         if row.error is not None:
             continue
         row.metadata["ds"] = planned.disc.ds
@@ -553,8 +539,7 @@ def run_convergence(
                 previous.abs_error / row.abs_error
             ) / math.log(previous.metadata["ds"] / row.metadata["ds"])
         previous = row
-    grid_echo = [f"{ns}:{nt}" for ns, nt in grids]
-    return _report(job, rows, subcommand="convergence", grids=grid_echo)
+    return report
 
 
 def jobspec_from_report(report: dict[str, Any]) -> JobSpec:
@@ -713,8 +698,8 @@ def main(argv: Sequence[str] | None = None) -> int:
         elif args.command == "timing":
             report = run_timing(job, repeats=args.repeats)
         else:
-            report = run_table([job.maturity], job)
-            report = replace(report, provenance={**report.provenance, "subcommand": "price"})
+            plan = _plan(_methods_for(job), [job])
+            report = _report(job, plan, subcommand="price", maturities=[job.maturity])
     except ValidationError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

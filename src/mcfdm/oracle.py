@@ -53,8 +53,11 @@ def black_scholes_price(
     s0, k, t = contract.spot, contract.strike, contract.maturity
     r, sigma = market.r, market.sigma
     vol = sigma * math.sqrt(t)
-    d1 = (math.log(s0 / k) + (r + 0.5 * sigma * sigma) * t) / vol
-    d2 = d1 - vol
+    drift = math.log(s0 / k) + (r + 0.5 * sigma * sigma) * t
+    d1 = drift / vol if vol > 0.0 else math.copysign(math.inf, drift)
+    # N is exactly 0 or 1 beyond ±_Z_CUTOFF, so clamping keeps every finite
+    # d's price and gives sigma sqrt(T) -> 0 its limit max(±(S0 - K e^-rT), 0)
+    d1, d2 = (min(max(d, -_Z_CUTOFF), _Z_CUTOFF) for d in (d1, d1 - vol))
     df_strike = k * math.exp(-r * t)
     if contract.kind is OptionKind.CALL:
         return s0 * std_normal_cdf(d1) - df_strike * std_normal_cdf(d2)
@@ -79,6 +82,13 @@ def _scored(
         elapsed_seconds=elapsed,
         extra=extra,
     )
+
+
+def _exact(contract: OptionContract, market: MarketParams) -> PricingResult:
+    """The closed form as an engine: one timed call, scored like the others."""
+    t_start = time.perf_counter()
+    price = black_scholes_price(contract, market)
+    return _scored(Method.EXACT, contract, market, price, t_start, {})
 
 
 def risk_neutral_integral_price(

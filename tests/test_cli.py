@@ -367,7 +367,7 @@ class TestRunConvergence:
 
 
 _ENGINES = (
-    "solve_mcfdm", "solve_crank_nicolson", "price_monte_carlo", "black_scholes_price",
+    "solve_mcfdm", "solve_crank_nicolson", "price_monte_carlo", "_exact",
 )
 
 
@@ -388,10 +388,14 @@ def _fail_if_called(*args, **kwargs):
         lambda: run_convergence([(50, 400)], small_job(method="MonteCarlo")),
         lambda: run_convergence([(50, 400)], small_job(method="Exact")),
         lambda: run_table([0.25, -1.0], small_job(n_space=3)),
+        lambda: run_table([], small_job()),
+        lambda: run_theta_study([], small_job()),
+        lambda: run_convergence([], small_job(method="CFDM")),
     ],
     ids=["table-last-maturity", "convergence-grid", "theta-study-base-scale",
          "cfdm-theta-scale", "mc-paths", "convergence-mc", "convergence-exact",
-         "table-maturity-and-grid"],
+         "table-maturity-and-grid", "table-empty", "theta-study-empty",
+         "convergence-empty"],
 )
 def test_bad_input_fails_before_any_row_runs(monkeypatch, run):
     for engine in _ENGINES:
@@ -408,7 +412,7 @@ def test_list_entry_that_is_not_a_number_is_rejected(monkeypatch, run, values):
     # a replayed report's maturities or scalings are untyped JSON
     for engine in ("solve_mcfdm", "solve_crank_nicolson", "price_monte_carlo"):
         monkeypatch.setattr(f"mcfdm.cli.{engine}", _fail_if_called)
-    with pytest.raises(ValidationError, match="must be a number"):
+    with pytest.raises(ValidationError, match="must be float"):
         run(values, small_job(method="Exact"))
 
 

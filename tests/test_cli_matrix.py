@@ -7,8 +7,8 @@ the host or the clock is masked: the provenance's ``generated_at``,
 Monte Carlo's ``n_workers``.
 
 After a change that is meant to alter the CLI's output, regenerate the
-golden file with ``PYTHONPATH=src python tests/test_cli_matrix.py`` and
-review its diff.
+golden file with ``PYTHONPATH=src python tests/test_cli_matrix.py``, which
+prints the cases it added, removed and changed, and review its diff.
 """
 
 from __future__ import annotations
@@ -39,6 +39,8 @@ CASES = {
         "price", "--method", "mc", "--paths", "8192", "--mc-steps", "64", "--format", "json",
     ],
     "price-huge-exact-text": ["price", "--spot", "1e12", "--strike", "1e12", "--method", "exact"],
+    # sigma sqrt(T) is subnormal: the closed form is the discounted forward payoff
+    "price-tiny-vol-text": ["price", "--vol", "1e-320"],
     "table-text": ["table", *_SMALL, "--maturity", "0.25", "--maturity", "1"],
     "table-csv": ["table", *_SMALL, "--method", "cfdm", "--kind", "put", "--format", "csv"],
     "table-json": ["table", "--method", "exact", "--spot", "7", "--strike", "7.5", "--format", "json"],
@@ -169,7 +171,25 @@ def test_json_report_parses_as_strict_json(capsys, argv):
     json.loads(capsys.readouterr().out, parse_constant=_refuse)
 
 
+def summary(old: dict, new: dict) -> str:
+    """The case names that ``new`` adds to, removes from and changes in ``old``."""
+    parts = {
+        "added": [case for case in new if case not in old],
+        "removed": [case for case in old if case not in new],
+        "changed": [case for case in new if case in old and new[case] != old[case]],
+    }
+    return "".join(f"{label}: {', '.join(cases) or 'none'}\n" for label, cases in parts.items())
+
+
+def test_summary_names_added_removed_and_changed_cases():
+    old = {"a": 1, "b": 2, "c": 3}
+    new = {"a": 1, "c": 4, "d": 5}
+    assert summary(old, new) == "added: d\nremoved: b\nchanged: c\n"
+    assert summary(new, new) == "added: none\nremoved: none\nchanged: none\n"
+
+
 if __name__ == "__main__":
+    old = json.loads(GOLDEN.read_text(encoding="utf-8")) if GOLDEN.exists() else {}
     matrix = {case: run_case(argv) for case, argv in CASES.items()}
     GOLDEN.write_text(json.dumps(matrix, indent=1) + "\n", encoding="utf-8")
-    sys.stdout.write(f"wrote {len(matrix)} cases to {GOLDEN}\n")
+    sys.stdout.write(f"wrote {len(matrix)} cases to {GOLDEN}\n{summary(old, matrix)}")

@@ -83,6 +83,18 @@ def test_module_uses_every_name_it_imports(path):
     assert unused_imports(path.read_text(encoding="utf-8")) == []
 
 
+def test_cli_leaves_the_closed_form_and_its_clock_to_the_oracle():
+    # the Exact row's timed closed-form solve is mcfdm.oracle._exact
+    tree = ast.parse((Path(mcfdm.__file__).parent / "cli.py").read_text(encoding="utf-8"))
+    imported = {
+        alias.asname or alias.name
+        for node in ast.walk(tree)
+        if isinstance(node, (ast.Import, ast.ImportFrom))
+        for alias in node.names
+    }
+    assert imported.isdisjoint({"time", "_scored", "black_scholes_price"})
+
+
 def test_check_finds_a_leftover_import():
     source = "import math\nimport numpy as np\nfrom os import path, sep\n\nx = np.pi + len(sep)\n"
     assert unused_imports(source) == ["math (line 1)", "path (line 3)"]

@@ -101,6 +101,16 @@ class TestBlackScholesPrice:
         assert max(forward_gap, 0.0) - 1e-12 <= c <= spot + 1e-12
         assert max(-forward_gap, 0.0) - 1e-12 <= p <= strike * math.exp(-r * maturity) + 1e-12
 
+    @pytest.mark.parametrize("spot", [5.0, 6.0])
+    @pytest.mark.parametrize("kind", [CALL, PUT])
+    @pytest.mark.parametrize("maturity", [1.0, 1e-9])
+    def test_vanishing_volatility_is_the_discounted_forward_payoff(self, maturity, kind, spot):
+        # sigma sqrt(T) is subnormal at T = 1, so d1 overflows, and 0 at T = 1e-9
+        forward_gap = spot - 5.5 * math.exp(-0.05 * maturity)
+        expected = max(forward_gap if kind is CALL else -forward_gap, 0.0)
+        c = contract(kind=kind, maturity=maturity, spot=spot)
+        assert black_scholes_price(c, market(sigma=1e-320)) == expected
+
     def test_monotone_in_spot_and_maturity(self):
         spots = [3.0, 4.0, 5.0, 6.0, 7.0]
         calls = [
