@@ -64,18 +64,14 @@ CSV_HEADER = (
     "se,theta_scale,n_space,n_time,paths,seed,error,error_kind"
 )
 _META_COLUMNS = CSV_HEADER.split(",")[5:-2]
+# the text table's columns: method, maturity, price, abs_error, elapsed, notes
+_TEXT_ROW = "{:<12}{:>10}{:>14}{:>12}{:>12}  {}"
 
 _ALL_METHODS = tuple(m.value for m in Method)
 _NUMERICAL_METHODS = tuple(m.value for m in Method if m is not Method.EXACT)
-_METHOD_ALIASES = {
-    "mcfdm": "MCFDM",
-    "cfdm": "CFDM",
-    "cn": "CFDM",
-    "mc": "MonteCarlo",
-    "montecarlo": "MonteCarlo",
-    "exact": "Exact",
-    "all": "All",
-}
+# the --method words: each method's name in lower case, plus two short forms
+_METHOD_ALIASES = {m.lower(): m for m in (*_ALL_METHODS, "All")}
+_METHOD_ALIASES |= {"cn": "CFDM", "mc": "MonteCarlo"}
 # the allowed words of JobSpec's word fields, which are also the choices of
 # their flags
 _CHOICES = {
@@ -213,19 +209,16 @@ class TableReport:
         writer = csv.writer(buf, lineterminator="\n")
         writer.writerow(CSV_HEADER.split(","))
         for row in self.rows:
-            meta = row.metadata
             writer.writerow(
                 [
-                    row.method,
-                    format(row.maturity_years, "g"),
-                    "" if row.price is None else format(row.price, ".17g"),
+                    *map(_cell, (row.method, row.maturity_years, row.price)),
                     "" if row.abs_error is None else format_error(row.abs_error),
                     ""
                     if row.elapsed_seconds is None
                     else format(row.elapsed_seconds, ".6f"),
-                    *(_meta_cell(meta, key) for key in _META_COLUMNS),
-                    row.error or "",
-                    row.error_kind or "",
+                    *(_cell(row.metadata.get(key)) for key in _META_COLUMNS),
+                    _cell(row.error),
+                    _cell(row.error_kind),
                 ]
             )
         return buf.getvalue()
@@ -254,27 +247,22 @@ class TableReport:
         lines = [f"mcfdm {__version__} report"]
         lines.extend(self._provenance_lines())
         lines.append("")
-        header = (
-            f"{'method':<12}{'maturity':>10}{'price':>14}"
-            f"{'abs_error':>12}{'elapsed':>12}  notes"
-        )
+        header = _TEXT_ROW.format("method", "maturity", "price", "abs_error", "elapsed", "notes")
         lines.append(header)
         lines.append("-" * len(header))
         for row in self.rows:
+            maturity = format(row.maturity_years, "g")
             if row.error is not None:
                 note = f"ERROR[{row.error_kind}]: {row.error}"
-                lines.append(
-                    f"{row.method:<12}{row.maturity_years:>10g}{'-':>14}"
-                    f"{'-':>12}{'-':>12}  {note}"
-                )
+                lines.append(_TEXT_ROW.format(row.method, maturity, "-", "-", "-", note))
                 continue
             price = f"{row.price:.5f}"
             if len(price) > 13:  # too wide for its column: 6 significant digits
                 price = f"{row.price:.6g}"
+            error = f"({format_error(row.abs_error)})"
+            elapsed = f"{row.elapsed_seconds:.4f}s"
             lines.append(
-                f"{row.method:<12}{row.maturity_years:>10g}{price:>14}"
-                f"{'(' + format_error(row.abs_error) + ')':>12}"
-                f"{row.elapsed_seconds:>11.4f}s  {_notes(row.metadata)}"
+                _TEXT_ROW.format(row.method, maturity, price, error, elapsed, _notes(row.metadata))
             )
         return "\n".join(lines) + "\n"
 
@@ -289,8 +277,8 @@ class TableReport:
         return lines
 
 
-def _meta_cell(meta: dict[str, Any], key: str) -> str:
-    value = meta.get(key)
+def _cell(value: Any) -> str:
+    """A CSV cell; a float keeps 17 significant digits, so it reads back as itself."""
     if value is None:
         return ""
     if isinstance(value, bool):
@@ -505,14 +493,12 @@ def run_convergence(
     """
     if not grids:
         raise ValidationError("grid list must be nonempty")
+    jobs = []
     for grid in grids:
         # a replayed report holds its grids as "N_SPACE:N_TIME" strings
-        if not (
-            isinstance(grid, (tuple, list))
-            and len(grid) == 2
-            and all(_fits(n, int) for n in grid)
-        ):
+        if not (isinstance(grid, (tuple, list)) and len(grid) == 2):
             raise ValidationError(f"grid must be a pair of ints, got {grid!r}")
+        jobs.append(replace(job, n_space=grid[0], n_time=grid[1]))
     if job.method == "All":
         raise ValidationError("convergence runs a single method; pick one")
     if job.method not in ("MCFDM", "CFDM"):
@@ -520,7 +506,6 @@ def run_convergence(
             f"convergence refines a grid, which {job.method} does not use; "
             "pick mcfdm or cfdm"
         )
-    jobs = [replace(job, n_space=ns, n_time=nt) for ns, nt in grids]
     plan = _plan([job.method], jobs)
     grid_echo = [f"{j.n_space}:{j.n_time}" for j in jobs]
     report = _report(job, plan, subcommand="convergence", grids=grid_echo)

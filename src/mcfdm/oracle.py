@@ -109,7 +109,10 @@ def risk_neutral_integral_price(
     r, sigma = market.r, market.sigma
     mu = (r - 0.5 * sigma * sigma) * t
     vol = sigma * math.sqrt(t)
-    z_kink = (math.log(k / s0) - mu) / vol
+    kink = math.log(k / s0) - mu
+    # as sigma sqrt(T) -> 0 the kink moves to ±inf, and the integral tends to
+    # the discounted forward payoff, the limit black_scholes_price takes
+    z_kink = kink / vol if vol > 0.0 else math.copysign(math.inf, kink)
 
     # both legs keep the Gaussian factor fused so extreme z cannot overflow
     def asset_leg(z: float) -> float:

@@ -349,14 +349,21 @@ class TestRunConvergence:
         assert errors[0] > errors[1] > errors[2]
 
     @pytest.mark.parametrize(
-        "grids",
-        [[(50,)], [(50, 400, 7)], ["50:400"], [(50, 400.0)], [(50, 400), None]],
+        ("grids", "message"),
+        [
+            ([(50,)], "grid must be a pair of ints"),
+            ([(50, 400, 7)], "grid must be a pair of ints"),
+            (["50:400"], "grid must be a pair of ints"),
+            # each grid builds its job, which checks the counts' type
+            ([(50, 400.0)], "job field n_time must be int, got 400.0"),
+            ([(50, 400), None], "grid must be a pair of ints"),
+        ],
         ids=["one-number", "three-numbers", "replayed-string", "float", "none"],
     )
-    def test_grid_that_is_not_a_pair_of_ints_is_rejected(self, monkeypatch, grids):
+    def test_grid_that_is_not_a_pair_of_ints_is_rejected(self, monkeypatch, grids, message):
         for engine in _ENGINES:
             monkeypatch.setattr(f"mcfdm.cli.{engine}", _fail_if_called)
-        with pytest.raises(ValidationError, match="grid must be a pair of ints"):
+        with pytest.raises(ValidationError, match=message):
             run_convergence(grids, small_job(method="CFDM", n_time=400))
 
     def test_repeated_grid_gets_no_order_estimate(self):
@@ -588,6 +595,13 @@ class TestReportFormats:
         assert len(parsed) == 2
         assert parsed[1][0] == "Exact"
 
+    def test_csv_maturity_reads_back_as_the_same_float(self):
+        maturities = [0.1, 1.0000001]
+        text = run_table(maturities, JobSpec(method="Exact")).to_csv()
+        data = [l for l in text.splitlines() if not l.startswith("# ")]
+        cells = [row["maturity_years"] for row in csv.DictReader(data)]
+        assert [float(cell) for cell in cells] == maturities
+
     @staticmethod
     def _csv_fingerprint(text: str):
         comments, rows = [], []
@@ -817,10 +831,24 @@ class TestMain:
         assert captured.err == "error: cannot write the report: [Errno 13] Permission denied\n"
         assert not target.exists()
 
-    def test_method_aliases_accepted(self, capsys):
-        assert main(["price", "--method", "cn", "--format", "csv"]) == 0
-        out = capsys.readouterr().out
-        assert "CFDM," in out
+    @pytest.mark.parametrize(
+        ("word", "methods"),
+        [
+            ("mcfdm", ["MCFDM"]),
+            ("cfdm", ["CFDM"]),
+            ("cn", ["CFDM"]),
+            ("mc", ["MonteCarlo"]),
+            ("montecarlo", ["MonteCarlo"]),
+            ("Monte-Carlo", ["MonteCarlo"]),
+            ("exact", ["Exact"]),
+            ("all", ["MCFDM", "CFDM", "MonteCarlo", "Exact"]),
+        ],
+    )
+    def test_method_aliases_accepted(self, capsys, word, methods):
+        argv = ["price", "--method", word, "--n-space", "50", "--n-time", "400"]
+        assert main([*argv, "--paths", "2000", "--format", "csv"]) == 0
+        data = [l for l in capsys.readouterr().out.splitlines() if not l.startswith("# ")]
+        assert [row["method"] for row in csv.DictReader(data)] == methods
 
     def test_table_defaults_cover_three_maturities(self, capsys):
         code = main([

@@ -43,6 +43,11 @@ CASES = {
     "price-tiny-vol-text": ["price", "--vol", "1e-320"],
     "table-text": ["table", *_SMALL, "--maturity", "0.25", "--maturity", "1"],
     "table-csv": ["table", *_SMALL, "--method", "cfdm", "--kind", "put", "--format", "csv"],
+    # each maturity reads back from its CSV cell as the same float
+    "table-fine-maturity-csv": [
+        "table", "--method", "exact", "--maturity", "0.1", "--maturity", "1.0000001",
+        "--format", "csv",
+    ],
     "table-json": ["table", "--method", "exact", "--spot", "7", "--strike", "7.5", "--format", "json"],
     "timing-text": ["timing", *_SMALL, "--maturity", "0.25", "--repeats", "3"],
     "timing-json": ["timing", *_SMALL, "--maturity", "0.25", "--repeats", "3", "--format", "json"],

@@ -139,6 +139,17 @@ class TestRiskNeutralIntegralPrice:
         expected = math.exp(-0.05) * (5.0 * math.exp(0.05) - 4.0)
         assert risk_neutral_integral_price(c, m) == pytest.approx(expected, abs=1e-6)
 
+    @pytest.mark.parametrize("strike", [5.5, 6.0, 6.5])
+    @pytest.mark.parametrize("kind", [CALL, PUT])
+    @pytest.mark.parametrize("maturity", [1.0, 1e-9])
+    def test_underflowing_volatility_agrees_with_the_closed_form(self, maturity, kind, strike):
+        # sigma sqrt(T) is subnormal at T = 1, and 0 at T = 1e-9
+        c = contract(kind=kind, strike=strike, maturity=maturity, spot=6.0)
+        m = market(sigma=1e-320)
+        assert risk_neutral_integral_price(c, m) == pytest.approx(
+            black_scholes_price(c, m), abs=1e-10
+        )
+
     def test_at_the_money_zero_rate_put_call_symmetry(self):
         m = MarketParams(r=0.0, sigma=0.25)
         c = OptionContract(kind=CALL, strike=7.0, maturity=1.0, spot=7.0)
