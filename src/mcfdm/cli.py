@@ -252,6 +252,8 @@ class TableReport:
         lines.append("-" * len(header))
         for row in self.rows:
             maturity = format(row.maturity_years, "g")
+            if float(maturity) != row.maturity_years:  # "g" rounded it: show every digit
+                maturity = repr(row.maturity_years)
             if row.error is not None:
                 note = f"ERROR[{row.error_kind}]: {row.error}"
                 lines.append(_TEXT_ROW.format(row.method, maturity, "-", "-", "-", note))

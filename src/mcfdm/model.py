@@ -256,8 +256,6 @@ def _march(
             raise SingularSystemError(
                 f"implicit matrix is singular (LAPACK dgttrf info={info})"
             )
-        lower_terms = (i_lower[0] * bc_lower).tolist()
-        upper_terms = (i_upper[-1] * bc_upper).tolist()
     n_steps = bc_lower.size
     width = level.size
     ring = np.empty((min(_MARCH_ROWS, n_steps) + 1, width))
@@ -276,7 +274,10 @@ def _march(
         block = ring[1 : m + 1]
         block[:, 0] = bc_lower[start : start + m]
         block[:, -1] = bc_upper[start : start + m]
-        for n, (left, mid, right, inner) in enumerate(steps[:m], start):
+        if implicit:
+            lower_terms = (i_lower[0] * block[:, 0]).tolist()
+            upper_terms = (i_upper[-1] * block[:, -1]).tolist()
+        for n, (left, mid, right, inner) in enumerate(steps[:m]):
             multiply(e_lower, left, inner)
             multiply(e_center, mid, scratch)
             add(inner, scratch, inner)

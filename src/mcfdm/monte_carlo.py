@@ -33,11 +33,13 @@ __all__ = ["McConfig", "price_monte_carlo", "sample_terminal_price"]
 
 _BLOCK = 4096
 # time steps drawn, transformed and marched together; a 4096-path block
-# then keeps 1 MB of draws live (16 and 128 rows ran as fast)
-_CHUNK_ROWS = 32
+# then keeps 256 kB of draws live (16 and 32 rows ran as fast)
+_CHUNK_ROWS = 8
+# the default count pools from this many steps: with 100k paths on a
+# 2-vCPU VM, serial against pooled ran 8 steps in 19.4 vs 21.3 ms,
+# 16 in 40.5 vs 38.3 ms and 32 in 111 vs 62 ms
+_POOL_MIN_STEPS = 32
 _MAX_SEED = 2**64 - 1
-# uniforms are (k + 0.5) / 2^53 for k in [0, 2^53), strictly inside (0, 1)
-_UNIFORM_BITS = 53
 
 
 @dataclass(frozen=True, slots=True)
@@ -122,12 +124,14 @@ def _block_stats(
     st = np.full(m, contract.spot, dtype=float)
     chunk = np.empty((min(_CHUNK_ROWS, n_steps), m))
     for start in range(0, n_steps, _CHUNK_ROWS):
-        # bounded draws over 2^53 take one Philox output each, so drawing
-        # the block a chunk at a time reproduces the whole-block draw
+        # each uniform is one Philox output x as ((x >> 11) + 0.5) / 2^53,
+        # so drawing the block a chunk at a time reproduces the whole-block
+        # draw; x >> 11 = 2^53 - 1 rounds to 1.0, which ndtri maps to inf,
+        # so it is clamped to the largest double below 1
         u = chunk[: min(_CHUNK_ROWS, n_steps - start)]
-        u[...] = gen.integers(0, 1 << _UNIFORM_BITS, size=u.shape, dtype=np.uint64)
-        u += 0.5
-        u /= float(1 << _UNIFORM_BITS)
+        gen.random(out=u)
+        u += 2.0**-54
+        np.minimum(u, 1.0 - 2.0**-53, out=u)
         ndtri(u, out=u)
         _advance(st, u, market, dt)
     sample = payoff(contract, st)
@@ -154,15 +158,12 @@ def price_monte_carlo(
     ``extra["se"]`` (``None`` for a single path). Blocks may be evaluated
     by a thread pool, but the reduction always runs in block order, so the
     result does not depend on ``n_workers``. ``None`` chooses the count:
-    one thread per usable CPU when each block marches at least one full
-    chunk of ``_CHUNK_ROWS`` steps, else one. No more threads run than
-    there are blocks, and ``extra["n_workers"]`` records how many ran.
+    one thread per usable CPU when each block marches at least
+    ``_POOL_MIN_STEPS`` steps, else one. No more threads run than there are
+    blocks, and ``extra["n_workers"]`` records how many ran.
     """
     if n_workers is None:
-        # a pool pays once each block marches a full chunk: on a 2-vCPU VM,
-        # 100k paths x 1 step ran in 6-7 ms serially and 8-11 ms on two
-        # threads, 8192 paths x 1000 steps in 0.26-0.30 s and 0.16 s
-        n_workers = _usable_cpus() if config.n_time_steps >= _CHUNK_ROWS else 1
+        n_workers = _usable_cpus() if config.n_time_steps >= _POOL_MIN_STEPS else 1
     _require_count("n_workers", n_workers, 1)
     # the normal transform loads before the clock starts, so a cold first
     # call times its simulation and not the import

@@ -48,6 +48,10 @@ CASES = {
         "table", "--method", "exact", "--maturity", "0.1", "--maturity", "1.0000001",
         "--format", "csv",
     ],
+    # two maturities that "g" would both print as 1
+    "table-fine-maturity-text": [
+        "table", "--method", "exact", "--maturity", "1", "--maturity", "1.0000001",
+    ],
     "table-json": ["table", "--method", "exact", "--spot", "7", "--strike", "7.5", "--format", "json"],
     "timing-text": ["timing", *_SMALL, "--maturity", "0.25", "--repeats", "3"],
     "timing-json": ["timing", *_SMALL, "--maturity", "0.25", "--repeats", "3", "--format", "json"],

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -165,6 +166,21 @@ class TestSolveCrankNicolson:
         assert np.isfinite(values).all()
         assert values.min() >= -1e-12
         assert values.max() <= cap + 1e-9
+
+    def test_march_memory_peak_is_bounded(self):
+        # the 400-node rung of a convergence ladder: its surface would take
+        # 34 MB, while the march keeps a ring of 33 levels and one block's
+        # boundary terms
+        c, m = contract(kind=PUT), MarketParams(r=0.1, sigma=0.25)
+        disc = build_grid(c, n_space=400, n_time=10543, s_max=28.0)
+        solve_crank_nicolson(c, m, disc)
+        tracemalloc.start()
+        try:
+            solve_crank_nicolson(c, m, disc)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak / 2**20 < 0.6
 
     def test_surface_shape_and_terminal_level(self):
         c = contract(kind=PUT)

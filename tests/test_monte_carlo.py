@@ -158,11 +158,11 @@ class TestPriceMonteCarlo:
     # None is the default count: at most two threads for LONG_MARCH's two
     # blocks, whatever the host
     @pytest.mark.parametrize(
-        ("workers", "bound_mb"), [(1, 8.0), (2, 16.0), (None, 16.0)]
+        ("workers", "bound_mb"), [(1, 0.6), (2, 1.0), (None, 1.0)]
     )
     def test_long_march_memory_peak_is_bounded(self, workers, bound_mb):
         # a whole 4096 x 1000 block of draws is 31 MB per array; streamed
-        # blocks keep a few 1 MB chunks live per worker
+        # blocks keep one 256 kB chunk of draws live per worker
         warm = McConfig(n_paths=2 * monte_carlo._BLOCK, seed=1, n_time_steps=2)
         price_monte_carlo(contract(), market(), warm, n_workers=workers)
         tracemalloc.start()
@@ -172,6 +172,27 @@ class TestPriceMonteCarlo:
         finally:
             tracemalloc.stop()
         assert peak / 2**20 < bound_mb
+
+    def test_top_uniform_draw_prices_finite(self, monkeypatch):
+        # every draw is the top one, k = 2^53 - 1, under either uniform
+        # rule: (k + 0.5) / 2^53 rounds to 1.0, whose normal is inf
+        top = 2**53 - 1
+
+        class TopDraws:
+            def __init__(self, bit_generator):
+                pass
+
+            def integers(self, low, high, size, dtype):
+                return np.full(size, top, dtype=dtype)
+
+            def random(self, out):
+                out[...] = top * 2.0**-53
+                return out
+
+        monkeypatch.setattr(np.random, "Generator", TopDraws)
+        config = McConfig(n_paths=2, seed=1, n_time_steps=1)
+        result = price_monte_carlo(contract(), market(), config)
+        assert math.isfinite(result.price) and result.price > 0.0
 
     def test_worker_count_never_changes_bits(self):
         serial = price_monte_carlo(contract(), market(), n_workers=1)
@@ -191,10 +212,12 @@ class TestPriceMonteCarlo:
         [
             # a 1-step run and a one-block run stay serial on any host
             pytest.param(8192, 1, False, id="one-step"),
-            pytest.param(monte_carlo._BLOCK, monte_carlo._CHUNK_ROWS, False, id="one-block"),
-            # two blocks of a full chunk each: a thread per block, up to
-            # the usable CPUs
-            pytest.param(8192, monte_carlo._CHUNK_ROWS, True, id="full-chunk"),
+            pytest.param(monte_carlo._BLOCK, monte_carlo._POOL_MIN_STEPS, False, id="one-block"),
+            # a chunk of steps is not enough work to pay for a pool
+            pytest.param(8192, monte_carlo._CHUNK_ROWS, False, id="one-chunk"),
+            # two blocks of the pool's step count each: a thread per block,
+            # up to the usable CPUs
+            pytest.param(8192, monte_carlo._POOL_MIN_STEPS, True, id="pool-steps"),
         ],
     )
     def test_default_count_follows_the_steps_blocks_and_cpus(
