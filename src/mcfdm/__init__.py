@@ -19,13 +19,13 @@ from .errors import (
     ValidationError,
 )
 from .mean_convection import (
+    AlphaProfile,
     McfdmReport,
     ThetaConfig,
     max_stable_dt,
     solve_mcfdm,
 )
 from .model import (
-    AlphaProfile,
     Discretization,
     MarketParams,
     Method,

@@ -31,9 +31,8 @@ import numpy as np
 from ._version import __version__
 from .crank_nicolson import solve_crank_nicolson
 from .errors import McfdmError, StabilityError, ValidationError
-from .mean_convection import ThetaConfig, solve_mcfdm
+from .mean_convection import AlphaProfile, ThetaConfig, solve_mcfdm
 from .model import (
-    AlphaProfile,
     Discretization,
     MarketParams,
     Method,
@@ -251,9 +250,7 @@ class TableReport:
         lines.append(header)
         lines.append("-" * len(header))
         for row in self.rows:
-            maturity = format(row.maturity_years, "g")
-            if float(maturity) != row.maturity_years:  # "g" rounded it: show every digit
-                maturity = repr(row.maturity_years)
+            maturity = _text_float(row.maturity_years)
             if row.error is not None:
                 note = f"ERROR[{row.error_kind}]: {row.error}"
                 lines.append(_TEXT_ROW.format(row.method, maturity, "-", "-", "-", note))
@@ -290,12 +287,19 @@ def _cell(value: Any) -> str:
     return str(value)
 
 
+def _text_float(value: float) -> str:
+    """A text-table float: six significant digits when they read back as the
+    same float, else every digit."""
+    text = format(value, "g")
+    return text if float(text) == value else repr(value)
+
+
 def _notes(meta: dict[str, Any]) -> str:
     parts = []
     if meta.get("se") is not None:
         parts.append(f"se={format_error(meta['se'])}")
     if "theta_scale" in meta:
-        parts.append(f"k={meta['theta_scale']:g}")
+        parts.append(f"k={_text_float(meta['theta_scale'])}")
     if meta.get("oscillation"):
         parts.append("oscillation")
     if meta.get("observed_order") is not None:
@@ -329,8 +333,8 @@ def _planned(method: str, job: JobSpec) -> _Row:
     Building the inputs checks them: every row builds its market, θ config
     and contract, then an MCFDM or CFDM row its grid, a Monte Carlo row its config.
     """
-    market = MarketParams(r=job.rate, sigma=job.vol, alpha_profile=AlphaProfile(job.alpha))
-    theta = ThetaConfig(scaling=job.theta_scale, normalize=job.theta_mode == "normalized")
+    market = MarketParams(job.rate, job.vol)
+    theta = ThetaConfig(job.theta_scale, job.theta_mode == "normalized", AlphaProfile(job.alpha))
     c = OptionContract(OptionKind(job.kind), job.strike, job.maturity, job.spot)
     disc = None
     if method in ("MCFDM", "CFDM"):
@@ -373,6 +377,7 @@ def _solve_row(row: _Row, repeats: int | None = None) -> ReportRow:
     With ``repeats``, the first solve is a warm-up and the row reports the
     median seconds of ``repeats`` further solves.
     """
+    error = error_kind = None
     try:
         result = row.solve()
         se = result.extra.get("se")
@@ -388,27 +393,15 @@ def _solve_row(row: _Row, repeats: int | None = None) -> ReportRow:
                 row.solve().elapsed_seconds for _ in range(repeats)
             )
             meta["repeats"] = repeats
-        return ReportRow(
-            method=row.method,
-            maturity_years=row.maturity,
-            price=result.price,
-            abs_error=result.abs_error,
-            elapsed_seconds=elapsed,
-            metadata=meta,
-        )
+        # price, abs_error, elapsed_seconds and metadata
+        solved = (result.price, result.abs_error, elapsed, meta)
     except (McfdmError, ArithmeticError) as exc:
         # an ArithmeticError is an engine's Python-float arithmetic
         # overflowing, as ds**2 does on a grid bound near 1e200
         error = str(exc) if isinstance(exc, McfdmError) else f"{type(exc).__name__}: {exc}"
-        return ReportRow(
-            method=row.method,
-            maturity_years=row.maturity,
-            price=None,
-            abs_error=None,
-            elapsed_seconds=None,
-            error=error,
-            error_kind=_error_kind(exc),
-        )
+        error_kind = _error_kind(exc)
+        solved = (None, None, None, {})
+    return ReportRow(row.method, row.maturity, *solved, error, error_kind)
 
 
 def _report(job: JobSpec, plan: Sequence[_Row], **echo: Any) -> TableReport:

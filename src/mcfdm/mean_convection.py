@@ -11,6 +11,7 @@ scaling knob cleanly enhances or weakens the convection term.
 
 from __future__ import annotations
 
+import enum
 import logging
 import math
 import time
@@ -20,7 +21,6 @@ import numpy as np
 
 from .errors import StabilityError, ValidationError
 from .model import (
-    AlphaProfile,
     Discretization,
     MarketParams,
     Method,
@@ -31,6 +31,7 @@ from .model import (
 from .oracle import _scored
 
 __all__ = [
+    "AlphaProfile",
     "McfdmReport",
     "ThetaConfig",
     "max_stable_dt",
@@ -40,6 +41,13 @@ __all__ = [
 logger = logging.getLogger(__name__)
 
 
+class AlphaProfile(enum.Enum):
+    """Local volatility profile alpha(S) used by the convection tuning integral."""
+
+    CONSTANT = "constant"        # alpha(S) = sigma
+    PROPORTIONAL = "proportional"  # alpha(S) = sigma * S
+
+
 @dataclass(frozen=True, slots=True)
 class ThetaConfig:
     """Convection tuning configuration.
@@ -47,17 +55,21 @@ class ThetaConfig:
     ``scaling`` multiplies the tuning factor (1 is neutral, larger enhances
     the convection term, smaller weakens it, 0 disables it). ``normalize``
     selects the normalized factor (default) over the literal cell-integral
-    value. The cell integral of 1/alpha is evaluated in closed form for each
-    ``AlphaProfile``, so a constant profile normalizes to exactly 1.
+    value. ``alpha_profile`` is the shape of alpha(S), whose cell integral of
+    1/alpha is evaluated in closed form, so a constant profile normalizes
+    to exactly 1.
     """
 
     scaling: float = 1.0
     normalize: bool = True
+    alpha_profile: AlphaProfile = AlphaProfile.CONSTANT
 
     def __post_init__(self) -> None:
         # scaling 0 is the documented convection-off switch
         if not math.isfinite(self.scaling) or self.scaling < 0.0:
             raise ValidationError(f"scaling must be >= 0, got {self.scaling}")
+        if not isinstance(self.alpha_profile, AlphaProfile):
+            raise ValidationError(f"unknown alpha profile: {self.alpha_profile!r}")
 
 
 @dataclass(frozen=True, slots=True)
@@ -88,7 +100,7 @@ def _theta_values(
     ``i >= 1``, do.
     """
     # cell is sigma * integral(1/alpha) over the cell, shape is alpha(s) / sigma
-    if market.alpha_profile is AlphaProfile.PROPORTIONAL:
+    if config.alpha_profile is AlphaProfile.PROPORTIONAL:
         cell, shape = np.log1p(ds / (s - 0.5 * ds)), s
     else:
         cell, shape = np.full_like(s, ds), 1.0
@@ -172,7 +184,7 @@ def solve_mcfdm(
     extra = {
         "theta_scale": config.scaling,
         "theta_mode": "normalized" if config.normalize else "literal",
-        "alpha_profile": market.alpha_profile.value,
+        "alpha_profile": config.alpha_profile.value,
         "n_space": disc.n_space,
         "n_time": disc.n_time,
         "cfl_margin": dt_max / disc.dt,

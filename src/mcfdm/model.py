@@ -12,7 +12,6 @@ import numpy as np
 from .errors import SingularSystemError, ValidationError
 
 __all__ = [
-    "AlphaProfile",
     "Discretization",
     "MarketParams",
     "Method",
@@ -45,13 +44,6 @@ class OptionKind(enum.Enum):
     PUT = "put"
 
 
-class AlphaProfile(enum.Enum):
-    """Local volatility profile alpha(S) used by the convection tuning integral."""
-
-    CONSTANT = "constant"        # alpha(S) = sigma
-    PROPORTIONAL = "proportional"  # alpha(S) = sigma * S
-
-
 class Method(enum.Enum):
     MCFDM = "MCFDM"
     CFDM = "CFDM"
@@ -61,7 +53,7 @@ class Method(enum.Enum):
 
 @dataclass(frozen=True, slots=True)
 class MarketParams:
-    """Risk-free rate, volatility, and the local volatility profile alpha(S).
+    """Risk-free rate and volatility.
 
     Parameters
     ----------
@@ -69,21 +61,16 @@ class MarketParams:
         Risk-free rate per year. Must be nonnegative.
     sigma : float
         Volatility per square-root year. Must be positive.
-    alpha_profile : AlphaProfile
-        Shape of alpha(S); only enters the convection tuning factor.
     """
 
     r: float
     sigma: float
-    alpha_profile: AlphaProfile = AlphaProfile.CONSTANT
 
     def __post_init__(self) -> None:
         if not math.isfinite(self.r) or self.r < 0.0:
             raise ValidationError(f"r must be finite and >= 0, got {self.r}")
         if not math.isfinite(self.sigma) or self.sigma <= 0.0:
             raise ValidationError(f"sigma must be finite and > 0, got {self.sigma}")
-        if not isinstance(self.alpha_profile, AlphaProfile):
-            raise ValidationError(f"unknown alpha profile: {self.alpha_profile!r}")
 
 
 @dataclass(frozen=True, slots=True)

@@ -61,13 +61,13 @@ def direct_price(job: JobSpec) -> float:
         kind=OptionKind(job.kind), strike=job.strike,
         maturity=job.maturity, spot=job.spot,
     )
-    market = MarketParams(
-        r=job.rate, sigma=job.vol, alpha_profile=AlphaProfile(job.alpha)
-    )
+    market = MarketParams(r=job.rate, sigma=job.vol)
     disc = build_grid(contract, job.n_space, job.n_time, s_max=job.s_max)
     if job.method == "CFDM":
         return solve_crank_nicolson(contract, market, disc).price
-    theta = ThetaConfig(job.theta_scale, normalize=job.theta_mode == "normalized")
+    theta = ThetaConfig(
+        job.theta_scale, job.theta_mode == "normalized", AlphaProfile(job.alpha)
+    )
     return solve_mcfdm(contract, market, disc, theta).result.price
 
 
@@ -601,6 +601,17 @@ class TestReportFormats:
         data = [l for l in text.splitlines() if not l.startswith("# ")]
         cells = [row["maturity_years"] for row in csv.DictReader(data)]
         assert [float(cell) for cell in cells] == maturities
+
+    @pytest.mark.parametrize("value", [1.0, 1.0000001, 0.1, 1e308])
+    def test_text_maturity_and_scaling_read_back_as_the_same_float(self, value):
+        row = ReportRow(
+            method="MCFDM", maturity_years=value, price=0.5, abs_error=0.0,
+            elapsed_seconds=0.0, metadata={"theta_scale": value},
+        )
+        line = TableReport(provenance={}, rows=(row,)).to_text().splitlines()[-1]
+        cells = line.split()
+        assert float(cells[1]) == value
+        assert cells[-1].startswith("k=") and float(cells[-1][2:]) == value
 
     @staticmethod
     def _csv_fingerprint(text: str):

@@ -75,6 +75,10 @@ CASES = {
         "convergence", "--method", "cfdm", "--spot", "7", "--strike", "7.5",
         "--s-max", "29.1", "--grid", "50:500", "--grid", "100:500", "--format", "json",
     ],
+    # two scalings that "g" would both print as k=1
+    "theta-study-fine-scaling-text": [
+        "theta-study", *_SMALL, "--scaling", "1", "--scaling", "1.0000001",
+    ],
     "stability-text": ["price", "--method", "mcfdm", "--n-time", "100"],
     "stability-csv": [
         "theta-study", "--kind", "put", "--scaling", "1", "--scaling", "80", "--format", "csv",

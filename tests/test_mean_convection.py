@@ -33,8 +33,11 @@ PUT = OptionKind.PUT
 DT_MAX_DEFAULT_GRID = 0.001619269304726242
 
 
-def market(r=0.05, sigma=0.25, profile=AlphaProfile.CONSTANT):
-    return MarketParams(r=r, sigma=sigma, alpha_profile=profile)
+PROPORTIONAL = AlphaProfile.PROPORTIONAL
+
+
+def market(r=0.05, sigma=0.25):
+    return MarketParams(r=r, sigma=sigma)
 
 
 def contract(kind=CALL, strike=5.5, maturity=1.0, spot=5.0):
@@ -46,6 +49,17 @@ class TestThetaConfig:
         config = ThetaConfig()
         assert config.scaling == 1.0
         assert config.normalize is True
+
+    def test_defaults_to_constant_profile(self):
+        assert ThetaConfig().alpha_profile is AlphaProfile.CONSTANT
+
+    def test_proportional_profile(self):
+        config = ThetaConfig(alpha_profile=PROPORTIONAL)
+        assert config.alpha_profile is PROPORTIONAL
+
+    def test_unknown_profile_is_rejected(self):
+        with pytest.raises(ValidationError, match="unknown alpha profile: 'proportional'"):
+            ThetaConfig(alpha_profile="proportional")
 
     def test_zero_scaling_is_allowed(self):
         assert ThetaConfig(scaling=0.0).scaling == 0.0
@@ -87,8 +101,8 @@ class TestThetaAt:
     def test_proportional_profile_matches_log_antiderivative(self):
         # integral of 1/(sigma S) over the cell is ln((s+ds/2)/(s-ds/2))/sigma;
         # s = 0.06 is the bottom cell, where 1/S varies most across it
-        m = market(profile=AlphaProfile.PROPORTIONAL)
-        config = ThetaConfig(normalize=False)
+        m = market()
+        config = ThetaConfig(normalize=False, alpha_profile=PROPORTIONAL)
         for s, ds in ((5.0, 0.1), (0.06, 0.1)):
             expected = 0.25 / (2.0 * math.log((s + 0.5 * ds) / (s - 0.5 * ds)))
             value = _theta_values(m, np.array([s]), ds, config)[0]
@@ -97,8 +111,8 @@ class TestThetaAt:
         assert value == pytest.approx(6.24979, abs=1e-5)
 
     def test_proportional_normalized_near_one(self):
-        m = market(profile=AlphaProfile.PROPORTIONAL)
-        value = _theta_values(m, np.array([5.0]), 0.1, ThetaConfig())[0]
+        config = ThetaConfig(alpha_profile=PROPORTIONAL)
+        value = _theta_values(market(), np.array([5.0]), 0.1, config)[0]
         assert value == pytest.approx(1.0, abs=1e-3)
 
     @given(
@@ -108,10 +122,10 @@ class TestThetaAt:
         normalize=st.booleans(),
     )
     def test_scaling_linearity_exact(self, k, s, ds, normalize):
-        m = market(profile=AlphaProfile.PROPORTIONAL)
+        m = market()
         nodes = np.array([s])
-        base = _theta_values(m, nodes, ds, ThetaConfig(1.0, normalize))
-        scaled = _theta_values(m, nodes, ds, ThetaConfig(k, normalize))
+        base = _theta_values(m, nodes, ds, ThetaConfig(1.0, normalize, PROPORTIONAL))
+        scaled = _theta_values(m, nodes, ds, ThetaConfig(k, normalize, PROPORTIONAL))
         assert scaled[0] == k * base[0]
 
 
@@ -388,7 +402,7 @@ class TestSolveMcfdm:
         c = contract(strike=7.5, spot=7.0)
         base = solve_mcfdm(c, market(), build_grid(c)).result.price
         prop = solve_mcfdm(
-            c, market(profile=AlphaProfile.PROPORTIONAL), build_grid(c)
+            c, market(), build_grid(c), ThetaConfig(alpha_profile=PROPORTIONAL)
         ).result.price
         # normalized proportional theta deviates from 1 by O(ds^2/s^2)
         assert prop == pytest.approx(base, abs=1e-3)
@@ -408,7 +422,8 @@ class TestSolveMcfdm:
     def test_cfl_margin_is_the_stable_step_over_dt(self, profile, config):
         # one stability computation: the solver's margin is max_stable_dt / dt
         c = contract(kind=PUT, strike=7.5, spot=7.0)
-        m = market(profile=profile)
+        m = market()
+        config = ThetaConfig(config.scaling, config.normalize, profile)
         disc = build_grid(c)
         report = solve_mcfdm(c, m, disc, config, allow_unstable=True)
         assert report.result.extra["cfl_margin"] == max_stable_dt(m, disc, config) / disc.dt

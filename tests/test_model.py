@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -6,7 +7,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from mcfdm import (
-    AlphaProfile,
     Discretization,
     MarketParams,
     OptionContract,
@@ -29,13 +29,9 @@ def make_contract(kind=CALL, strike=5.5, maturity=1.0, spot=5.0):
 
 
 class TestMarketParams:
-    def test_defaults_to_constant_profile(self):
-        m = MarketParams(r=0.05, sigma=0.25)
-        assert m.alpha_profile is AlphaProfile.CONSTANT
-
-    def test_proportional_profile(self):
-        m = MarketParams(r=0.05, sigma=0.25, alpha_profile=AlphaProfile.PROPORTIONAL)
-        assert m.alpha_profile is AlphaProfile.PROPORTIONAL
+    def test_holds_only_rate_and_volatility(self):
+        # the alpha profile is the convection tuning's, in ThetaConfig
+        assert [f.name for f in dataclasses.fields(MarketParams)] == ["r", "sigma"]
 
     def test_zero_rate_allowed(self):
         assert MarketParams(r=0.0, sigma=0.1).r == 0.0
