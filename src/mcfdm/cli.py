@@ -63,8 +63,9 @@ CSV_HEADER = (
     "se,theta_scale,n_space,n_time,paths,seed,error,error_kind"
 )
 _META_COLUMNS = CSV_HEADER.split(",")[5:-2]
-# the text table's columns: method, maturity, price, abs_error, elapsed, notes
-_TEXT_ROW = "{:<12}{:>10}{:>14}{:>12}{:>12}  {}"
+# the text table's columns: method, maturity, price, abs_error, elapsed, notes;
+# the maturity column is as wide as its widest cell, and at least 10
+_TEXT_ROW = "{:<12}{:>{width}}{:>14}{:>12}{:>12}  {}"
 
 _ALL_METHODS = tuple(m.value for m in Method)
 _NUMERICAL_METHODS = tuple(m.value for m in Method if m is not Method.EXACT)
@@ -246,14 +247,15 @@ class TableReport:
         lines = [f"mcfdm {__version__} report"]
         lines.extend(self._provenance_lines())
         lines.append("")
-        header = _TEXT_ROW.format("method", "maturity", "price", "abs_error", "elapsed", "notes")
+        maturities = [_text_float(row.maturity_years) for row in self.rows]
+        text_row = partial(_TEXT_ROW.format, width=max([10, *map(len, maturities)]))
+        header = text_row("method", "maturity", "price", "abs_error", "elapsed", "notes")
         lines.append(header)
         lines.append("-" * len(header))
-        for row in self.rows:
-            maturity = _text_float(row.maturity_years)
+        for row, maturity in zip(self.rows, maturities):
             if row.error is not None:
                 note = f"ERROR[{row.error_kind}]: {row.error}"
-                lines.append(_TEXT_ROW.format(row.method, maturity, "-", "-", "-", note))
+                lines.append(text_row(row.method, maturity, "-", "-", "-", note))
                 continue
             price = f"{row.price:.5f}"
             if len(price) > 13:  # too wide for its column: 6 significant digits
@@ -261,7 +263,7 @@ class TableReport:
             error = f"({format_error(row.abs_error)})"
             elapsed = f"{row.elapsed_seconds:.4f}s"
             lines.append(
-                _TEXT_ROW.format(row.method, maturity, price, error, elapsed, _notes(row.metadata))
+                text_row(row.method, maturity, price, error, elapsed, _notes(row.metadata))
             )
         return "\n".join(lines) + "\n"
 

@@ -5,6 +5,7 @@ from __future__ import annotations
 
 import enum
 import math
+import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -204,12 +205,16 @@ def _march(
 
     ``bands`` are the operator bands from :func:`_operator`, ``boundaries``
     the Dirichlet values from :func:`_boundaries` (one entry per step), and
-    ``w`` is the time weight: 0 is the explicit step, 1/2 is Crank-Nicolson.
-    The implicit matrix is the same at every step, so it is factored once.
-    Steps write blocks of ``_MARCH_ROWS`` levels in place into a ring; each
-    explicit step is five ufunc calls with positional outputs (numpy's
-    per-call overhead, not arithmetic, dominates at a few hundred nodes),
-    and an implicit step then solves into the ring row with ``dgttrs``.
+    ``w`` is the time weight: 0 is the explicit step, 1/2 is Crank-Nicolson;
+    any other weight is rejected. Steps write blocks of ``_MARCH_ROWS``
+    levels in place into a ring. An explicit step is five ufunc calls with
+    positional outputs (numpy's per-call overhead, not arithmetic, dominates
+    at a few hundred nodes). At w = 1/2 the explicit matrix I + dt/2 L is
+    2I - A for the implicit matrix A = I - dt/2 L, so the step
+    A^-1 ((2I - A) u + beta) = A^-1 (2u + beta) - u needs no explicit half:
+    A is factored once, and each step doubles u, adds the boundary terms
+    beta of both levels, solves into the ring row with ``dgttrs`` and
+    subtracts u.
 
     Returns the last level, the surface of all levels (``None`` unless
     ``keep_surface``) and the oscillation flag. The flag is the explicit
@@ -221,28 +226,28 @@ def _march(
     implicit step is not a weighted average of that neighborhood, so it
     skips the check and the flag reads False.
     """
+    if time_weight not in (0.0, 0.5):
+        raise ValidationError(f"time weight must be 0 or 0.5, got {time_weight!r}")
     lower, center, upper = bands
     bc_lower, bc_upper = boundaries
-    explicit_dt = (1.0 - time_weight) * dt
-    e_lower = explicit_dt * lower
-    e_center = 1.0 + explicit_dt * center
-    e_upper = explicit_dt * upper
-    implicit = time_weight > 0.0
+    implicit = time_weight == 0.5
     if implicit:
         # loaded here so that the explicit scheme never pays for
         # scipy.linalg; timed callers load it before their clock starts
         from scipy.linalg.lapack import dgttrf, dgttrs
 
-        implicit_dt = time_weight * dt
-        i_lower = implicit_dt * lower
-        i_upper = implicit_dt * upper
-        *factors, info = dgttrf(
-            -i_lower[1:], 1.0 - implicit_dt * center, -i_upper[:-1]
-        )
+        half_dt = 0.5 * dt
+        i_lower = half_dt * lower
+        i_upper = half_dt * upper
+        *factors, info = dgttrf(-i_lower[1:], 1.0 - half_dt * center, -i_upper[:-1])
         if info != 0:
             raise SingularSystemError(
                 f"implicit matrix is singular (LAPACK dgttrf info={info})"
             )
+    else:
+        e_lower = dt * lower
+        e_center = 1.0 + dt * center
+        e_upper = dt * upper
     n_steps = bc_lower.size
     width = level.size
     ring = np.empty((min(_MARCH_ROWS, n_steps) + 1, width))
@@ -254,7 +259,7 @@ def _march(
     levels = np.empty((n_steps + 1, width)) if keep_surface else None
     if keep_surface:
         levels[0] = level
-    multiply, add = np.multiply, np.add
+    multiply, add, subtract = np.multiply, np.add, np.subtract
     oscillation = False
     for start in range(0, n_steps, _MARCH_ROWS):
         m = min(_MARCH_ROWS, n_steps - start)
@@ -262,27 +267,35 @@ def _march(
         block[:, 0] = bc_lower[start : start + m]
         block[:, -1] = bc_upper[start : start + m]
         if implicit:
-            lower_terms = (i_lower[0] * block[:, 0]).tolist()
-            upper_terms = (i_upper[-1] * block[:, -1]).tolist()
-        for n, (left, mid, right, inner) in enumerate(steps[:m]):
-            multiply(e_lower, left, inner)
-            multiply(e_center, mid, scratch)
-            add(inner, scratch, inner)
-            multiply(e_upper, right, scratch)
-            add(inner, scratch, inner)
-            if implicit:
-                inner[0] += lower_terms[n]
-                inner[-1] += upper_terms[n]
-                dgttrs(*factors, inner, overwrite_b=True)
-        if not (implicit or oscillation):
-            # flat entry j: level j // width's excess at node j % width + 1
-            prev = ring[:m].reshape(-1)
-            run = excess[: m * width - 2]
-            np.maximum(prev[:-2], prev[1:-1], out=run)
-            np.maximum(run, prev[2:], out=run)
-            np.subtract(block.reshape(-1)[1:-1], run, run)
-            per_step = excess[: m * width].reshape(m, width)[:, :-2].max(axis=1)
-            oscillation = bool((per_step > OSCILLATION_TOLERANCE).any())
+            # beta: each edge's term of the previous and the new level
+            lower_terms = (i_lower[0] * (ring[:m, 0] + block[:, 0])).tolist()
+            upper_terms = (i_upper[-1] * (ring[:m, -1] + block[:, -1])).tolist()
+            for (_, mid, _, inner), lower_term, upper_term in zip(
+                steps, lower_terms, upper_terms
+            ):
+                add(mid, mid, inner)
+                inner[0] += lower_term
+                inner[-1] += upper_term
+                # trans "N" and overwrite_b by position: f2py's keyword
+                # parsing costs about 0.4 us a call
+                dgttrs(*factors, inner, "N", True)
+                subtract(inner, mid, inner)
+        else:
+            for left, mid, right, inner in steps[:m]:
+                multiply(e_lower, left, inner)
+                multiply(e_center, mid, scratch)
+                add(inner, scratch, inner)
+                multiply(e_upper, right, scratch)
+                add(inner, scratch, inner)
+            if not oscillation:
+                # flat entry j: level j // width's excess at node j % width + 1
+                prev = ring[:m].reshape(-1)
+                run = excess[: m * width - 2]
+                np.maximum(prev[:-2], prev[1:-1], out=run)
+                np.maximum(run, prev[2:], out=run)
+                np.subtract(block.reshape(-1)[1:-1], run, run)
+                per_step = excess[: m * width].reshape(m, width)[:, :-2].max(axis=1)
+                oscillation = bool((per_step > OSCILLATION_TOLERANCE).any())
         if keep_surface:
             levels[start + 1 : start + m + 1] = block
         ring[0] = ring[m]
@@ -324,11 +337,14 @@ def build_grid(
     The ``"auto"`` policy targets ``4 * max(spot, strike)`` and then nudges
     ``ds`` (keeping ``n_space`` intervals) so the spot falls exactly on a
     node whenever an interior node index exists for it; solvers interpolate
-    linearly when it does not. An explicit ``s_max`` is used as given and
-    must exceed ``max(spot, strike)``.
+    linearly when it does not. An explicit ``s_max`` is a real number (not a
+    bool), used as given, and must exceed ``max(spot, strike)``.
     """
     _require_count("n_space", n_space, 4)
     _require_count("n_time", n_time, 1)
+    # a bool is a number to isinstance, but True is no price level
+    if s_max != "auto" and (isinstance(s_max, bool) or not isinstance(s_max, numbers.Real)):
+        raise ValidationError(f"s_max must be 'auto' or a number, got {s_max!r}")
     anchor = max(contract.spot, contract.strike)
     if s_max == "auto":
         target = 4.0 * anchor

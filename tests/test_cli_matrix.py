@@ -52,6 +52,10 @@ CASES = {
     "table-fine-maturity-text": [
         "table", "--method", "exact", "--maturity", "1", "--maturity", "1.0000001",
     ],
+    # a maturity whose repr is wider than the 10-character column
+    "table-wide-maturity-text": [
+        "table", "--method", "exact", "--maturity", "1", "--maturity", "0.30000000000000004",
+    ],
     "table-json": ["table", "--method", "exact", "--spot", "7", "--strike", "7.5", "--format", "json"],
     "timing-text": ["timing", *_SMALL, "--maturity", "0.25", "--repeats", "3"],
     "timing-json": ["timing", *_SMALL, "--maturity", "0.25", "--repeats", "3", "--format", "json"],

@@ -1,3 +1,4 @@
+import itertools
 import math
 import tracemalloc
 
@@ -20,7 +21,7 @@ from mcfdm import (
     solve_crank_nicolson,
     solve_mcfdm,
 )
-from mcfdm.model import _march
+from mcfdm.model import _boundaries, _march, _operator
 
 CALL = OptionKind.CALL
 PUT = OptionKind.PUT
@@ -58,6 +59,25 @@ def trapezoidal_residual(old, new, bands, dt):
         return lower * v[:-2] + center * v[1:-1] + upper * v[2:]
 
     return (new[1:-1] - 0.5 * dt * apply(new)) - (old[1:-1] + 0.5 * dt * apply(old))
+
+
+def two_band_trapezoid(level, bands, boundaries, dt):
+    """The last level of the classical Crank-Nicolson march: each step
+    applies B = I + dt/2 L to the level, adds the new level's boundary
+    terms and solves with A = I - dt/2 L."""
+    from scipy.linalg.lapack import dgttrf, dgttrs
+
+    lower, center, upper = (0.5 * dt * band for band in bands)
+    *factors, _ = dgttrf(-lower[1:], 1.0 - center, -upper[:-1])
+    diagonal = 1.0 + center
+    v = level.copy()
+    for new_lower, new_upper in zip(*boundaries):
+        interior = lower * v[:-2] + diagonal * v[1:-1] + upper * v[2:]
+        interior[0] += lower[0] * new_lower
+        interior[-1] += upper[-1] * new_upper
+        v[1:-1], _ = dgttrs(*factors, interior)
+        v[0], v[-1] = new_lower, new_upper
+    return v
 
 
 class TestThomasSolve:
@@ -181,6 +201,37 @@ class TestSolveCrankNicolson:
         finally:
             tracemalloc.stop()
         assert peak / 2**20 < 0.6
+
+    @pytest.mark.parametrize("grid", [(50, 400), (100, 1000), (400, 10543)])
+    def test_march_stays_at_the_two_band_trapezoid(self, grid):
+        # the march's one-solve step A^-1 (2u + beta) - u is the two-band step
+        # A^-1 (B u + beta) up to rounding; the largest gaps measured over
+        # this sweep are 2.4e-12 of a level's maximum and 5.2e-13 of a price,
+        # and each bound is ten times that or more
+        n_space, n_time = grid
+        level_gap = price_gap = 0.0
+        for kind, r, sigma, (spot, strike) in itertools.product(
+            [CALL, PUT], [0.0, 0.05, 0.1], [0.05, 0.25, 0.6], [(7.0, 7.5), (5.0, 5.5)]
+        ):
+            c = contract(kind=kind, strike=strike, spot=spot)
+            m = MarketParams(r=r, sigma=sigma)
+            disc = build_grid(c, n_space=n_space, n_time=n_time)
+            s = disc.nodes()
+            args = (
+                payoff(c, s),
+                _operator(m, s[1:-1], 1.0, disc.ds),
+                _boundaries(c, m, disc),
+                disc.dt,
+            )
+            final, _, _ = _march(*args, 0.5, keep_surface=False)
+            reference = two_band_trapezoid(*args)
+            gap = np.abs(final - reference).max()
+            level_gap = max(level_gap, gap / np.abs(reference).max())
+            price_gap = max(
+                price_gap, abs(np.interp(spot, s, final) - np.interp(spot, s, reference))
+            )
+        assert level_gap <= 3e-11
+        assert price_gap <= 1e-11
 
     def test_surface_shape_and_terminal_level(self):
         c = contract(kind=PUT)

@@ -140,33 +140,36 @@ class TestBoundaryValue:
 
 def reference_march(level, bands, boundaries, dt, time_weight, *, keep_surface):
     """The march one level at a time, each step in a new array and scanned
-    on its own: the loop the ring march replaced, kept as its reference."""
+    on its own: the loop the ring march replaced, kept as its reference.
+    A Crank-Nicolson step is A^-1 (2u + beta) - u, with A = I - dt/2 L and
+    beta the boundary terms of both levels."""
     from scipy.linalg.lapack import dgttrf, dgttrs
 
     lower, center, upper = bands
     bc_lower, bc_upper = boundaries
-    explicit_dt = (1.0 - time_weight) * dt
-    e_lower = explicit_dt * lower
-    e_center = 1.0 + explicit_dt * center
-    e_upper = explicit_dt * upper
-    implicit = time_weight > 0.0
+    implicit = time_weight == 0.5
     if implicit:
-        implicit_dt = time_weight * dt
-        i_lower = implicit_dt * lower
-        i_upper = implicit_dt * upper
-        *factors, _ = dgttrf(-i_lower[1:], 1.0 - implicit_dt * center, -i_upper[:-1])
+        i_lower = 0.5 * dt * lower
+        i_upper = 0.5 * dt * upper
+        *factors, _ = dgttrf(-i_lower[1:], 1.0 - 0.5 * dt * center, -i_upper[:-1])
+    else:
+        e_lower = dt * lower
+        e_center = 1.0 + dt * center
+        e_upper = dt * upper
     v = level
     levels = np.empty((bc_lower.size + 1, v.size)) if keep_surface else None
     if keep_surface:
         levels[0] = v
     oscillation = False
     for n in range(bc_lower.size):
-        interior = e_lower * v[:-2] + e_center * v[1:-1] + e_upper * v[2:]
         if implicit:
-            interior[0] += i_lower[0] * bc_lower[n]
-            interior[-1] += i_upper[-1] * bc_upper[n]
+            interior = v[1:-1] + v[1:-1]
+            interior[0] += i_lower[0] * (v[0] + bc_lower[n])
+            interior[-1] += i_upper[-1] * (v[-1] + bc_upper[n])
             interior, _ = dgttrs(*factors, interior)
+            interior = interior - v[1:-1]
         else:
+            interior = e_lower * v[:-2] + e_center * v[1:-1] + e_upper * v[2:]
             neighborhood = np.maximum(np.maximum(v[:-2], v[1:-1]), v[2:])
             if float((interior - neighborhood).max()) > OSCILLATION_TOLERANCE:
                 oscillation = True
@@ -227,6 +230,12 @@ class TestMarch:
             time_weight=time_weight, keep_surface=keep_surface,
         )
         np.testing.assert_array_equal(level, before)
+
+    @pytest.mark.parametrize("time_weight", [0.25, 1.0])
+    def test_weight_other_than_explicit_or_trapezoidal_rejected(self, time_weight):
+        # the one-solve Crank-Nicolson step uses B = 2I - A, which holds only at w = 1/2
+        with pytest.raises(ValidationError, match="time weight must be 0 or 0.5"):
+            _march(*march_inputs(4), time_weight, keep_surface=False)
 
     def test_march_that_turns_to_nan_inside_a_block(self):
         # k = 30 at 400 nodes is far past the stability bound: the march
@@ -318,7 +327,7 @@ class TestMarch:
         *factors, info = dgttrf(np.full(4, -1.0), np.full(5, 4.0), np.full(4, -1.0))
         ring = np.ones((2, 7))
         inner = ring[1, 1:-1]
-        x, info = dgttrs(*factors, inner, overwrite_b=True)
+        x, info = dgttrs(*factors, inner, "N", True)
         assert info == 0
         assert x is inner
         matrix = 4.0 * np.eye(5) - np.eye(5, k=1) - np.eye(5, k=-1)
@@ -361,6 +370,11 @@ class TestBuildGrid:
     def test_explicit_s_max_below_strike_rejected(self):
         with pytest.raises(ValidationError):
             build_grid(make_contract(), n_space=100, n_time=1000, s_max=5.0)
+
+    @pytest.mark.parametrize("s_max", ["abc", None, "40", True])
+    def test_s_max_that_is_not_auto_or_a_number_rejected(self, s_max):
+        with pytest.raises(ValidationError, match="s_max must be 'auto' or a number, got "):
+            build_grid(make_contract(), s_max=s_max)
 
     @pytest.mark.parametrize("kwargs", [
         {"n_time": True},
