@@ -40,6 +40,15 @@ def _require_count(name: str, value: object, minimum: int) -> None:
         raise ValidationError(f"{name} must be an int >= {minimum}, got {value!r}")
 
 
+def _as_count(name: str, value: object, minimum: int) -> int:
+    """``value`` as a Python int when it is an integer of any type but bool
+    (numpy's included), checked as by :func:`_require_count`."""
+    if isinstance(value, numbers.Integral) and not isinstance(value, bool):
+        value = int(value)
+    _require_count(name, value, minimum)
+    return value
+
+
 class OptionKind(enum.Enum):
     CALL = "call"
     PUT = "put"
@@ -213,8 +222,19 @@ def _march(
     2I - A for the implicit matrix A = I - dt/2 L, so the step
     A^-1 ((2I - A) u + beta) = A^-1 (2u + beta) - u needs no explicit half:
     A is factored once, and each step doubles u, adds the boundary terms
-    beta of both levels, solves into the ring row with ``dgttrs`` and
-    subtracts u.
+    beta of both levels, solves into the ring row and subtracts u.
+
+    When each pair A[i+1, i], A[i, i+1] shares a strict sign (for the
+    classical stencil, whenever r / sigma^2 < 2), the diagonal similarity
+    S = D^-1 A D with D = diag(s), s_0 = 1 and
+    s_{i+1} = s_i sqrt(A[i+1, i] / A[i, i+1]), is symmetric. If s is finite
+    and positive and ``dpttrf`` factors S as L D L^T, the march carries
+    w = D^-1 u on the interior, steps w <- S^-1 (2w + D^-1 beta) - w with
+    ``dpttrs`` and scales the last level (and the kept surface) by s at the
+    end. beta is nonzero only in the first and last interior rows, where
+    s_0 = 1, so D^-1 beta divides only the upper edge term. Otherwise A is
+    factored by ``dgttrf`` and solved by ``dgttrs`` in the same loop with
+    s = 1; only ``dgttrf`` raises :class:`SingularSystemError`.
 
     Returns the last level, the surface of all levels (``None`` unless
     ``keep_surface``) and the oscillation flag. The flag is the explicit
@@ -231,31 +251,50 @@ def _march(
     lower, center, upper = bands
     bc_lower, bc_upper = boundaries
     implicit = time_weight == 0.5
-    if implicit:
-        # loaded here so that the explicit scheme never pays for
-        # scipy.linalg; timed callers load it before their clock starts
-        from scipy.linalg.lapack import dgttrf, dgttrs
-
-        half_dt = 0.5 * dt
-        i_lower = half_dt * lower
-        i_upper = half_dt * upper
-        *factors, info = dgttrf(-i_lower[1:], 1.0 - half_dt * center, -i_upper[:-1])
-        if info != 0:
-            raise SingularSystemError(
-                f"implicit matrix is singular (LAPACK dgttrf info={info})"
-            )
-    else:
-        e_lower = dt * lower
-        e_center = 1.0 + dt * center
-        e_upper = dt * upper
     n_steps = bc_lower.size
     width = level.size
     ring = np.empty((min(_MARCH_ROWS, n_steps) + 1, width))
     ring[0] = level
     # per ring row: views of the level before it, and its interior to write
     steps = [(a[:-2], a[1:-1], a[2:], b[1:-1]) for a, b in zip(ring[:-1], ring[1:])]
-    scratch = np.empty(width - 2)
-    excess = np.empty(ring[1:].size)
+    if implicit:
+        # loaded here so that the explicit scheme never pays for
+        # scipy.linalg; timed callers load it before their clock starts
+        from scipy.linalg.lapack import dgttrf, dgttrs, dpttrf, dpttrs
+
+        half_dt = 0.5 * dt
+        i_lower = half_dt * lower
+        i_upper = half_dt * upper
+        below, diagonal, above = -i_lower[1:], 1.0 - half_dt * center, -i_upper[:-1]
+        solve = None
+        # signs compared, not multiplied, so that no product can overflow
+        if (((below > 0.0) & (above > 0.0)) | ((below < 0.0) & (above < 0.0))).all():
+            with np.errstate(over="ignore"):
+                ratio = np.sqrt(below / above)
+                scale = np.cumprod(np.concatenate(([1.0], ratio)))
+            if np.isfinite(scale).all() and (scale > 0.0).all():
+                # S's off-diagonal, below s_i / s_{i+1} = sign sqrt(below above)
+                *factors, info = dpttrf(diagonal, below / ratio)
+                if info == 0:
+                    solve, trailing = dpttrs, (True,)
+        if solve is None:
+            *factors, info = dgttrf(below, diagonal, above)
+            if info != 0:
+                raise SingularSystemError(
+                    f"implicit matrix is singular (LAPACK dgttrf info={info})"
+                )
+            # trans "N" and overwrite_b by position: f2py's keyword parsing
+            # costs about 0.4 us a call
+            solve, trailing = dgttrs, ("N", True)
+            scale = np.ones_like(diagonal)
+        ring[0, 1:-1] /= scale
+        upper_weight = i_upper[-1] / scale[-1]
+    else:
+        e_lower = dt * lower
+        e_center = 1.0 + dt * center
+        e_upper = dt * upper
+        scratch = np.empty(width - 2)
+        excess = np.empty(ring[1:].size)
     levels = np.empty((n_steps + 1, width)) if keep_surface else None
     if keep_surface:
         levels[0] = level
@@ -267,18 +306,16 @@ def _march(
         block[:, 0] = bc_lower[start : start + m]
         block[:, -1] = bc_upper[start : start + m]
         if implicit:
-            # beta: each edge's term of the previous and the new level
+            # D^-1 beta: each edge's term of the previous and the new level
             lower_terms = (i_lower[0] * (ring[:m, 0] + block[:, 0])).tolist()
-            upper_terms = (i_upper[-1] * (ring[:m, -1] + block[:, -1])).tolist()
+            upper_terms = (upper_weight * (ring[:m, -1] + block[:, -1])).tolist()
             for (_, mid, _, inner), lower_term, upper_term in zip(
                 steps, lower_terms, upper_terms
             ):
                 add(mid, mid, inner)
                 inner[0] += lower_term
                 inner[-1] += upper_term
-                # trans "N" and overwrite_b by position: f2py's keyword
-                # parsing costs about 0.4 us a call
-                dgttrs(*factors, inner, "N", True)
+                solve(*factors, inner, *trailing)
                 subtract(inner, mid, inner)
         else:
             for left, mid, right, inner in steps[:m]:
@@ -299,7 +336,13 @@ def _march(
         if keep_surface:
             levels[start + 1 : start + m + 1] = block
         ring[0] = ring[m]
-    return ring[0].copy(), levels, oscillation
+    final = ring[0].copy()
+    if implicit:
+        # back from w = D^-1 u to u; the payoff level 0 was never scaled
+        final[1:-1] *= scale
+        if keep_surface:
+            levels[1:, 1:-1] *= scale
+    return final, levels, oscillation
 
 
 def _solve_grid(
@@ -338,10 +381,12 @@ def build_grid(
     ``ds`` (keeping ``n_space`` intervals) so the spot falls exactly on a
     node whenever an interior node index exists for it; solvers interpolate
     linearly when it does not. An explicit ``s_max`` is a real number (not a
-    bool), used as given, and must exceed ``max(spot, strike)``.
+    bool), used as given, and must exceed ``max(spot, strike)``. The counts
+    may be integers of any type but bool (numpy's included); the grid holds
+    them as Python ints.
     """
-    _require_count("n_space", n_space, 4)
-    _require_count("n_time", n_time, 1)
+    n_space = _as_count("n_space", n_space, 4)
+    n_time = _as_count("n_time", n_time, 1)
     # a bool is a number to isinstance, but True is no price level
     if s_max != "auto" and (isinstance(s_max, bool) or not isinstance(s_max, numbers.Real)):
         raise ValidationError(f"s_max must be 'auto' or a number, got {s_max!r}")

@@ -142,31 +142,53 @@ def reference_march(level, bands, boundaries, dt, time_weight, *, keep_surface):
     """The march one level at a time, each step in a new array and scanned
     on its own: the loop the ring march replaced, kept as its reference.
     A Crank-Nicolson step is A^-1 (2u + beta) - u, with A = I - dt/2 L and
-    beta the boundary terms of both levels."""
-    from scipy.linalg.lapack import dgttrf, dgttrs
+    beta the boundary terms of both levels. When every off-diagonal pair of
+    A shares a strict sign, the step runs on w = u / s with the symmetric
+    S = D^-1 A D (D = diag(s)) and ``dpttrs``, and each kept level is u = s w;
+    otherwise it runs on u with ``dgttrs``."""
+    from scipy.linalg.lapack import dgttrf, dgttrs, dpttrf, dpttrs
 
     lower, center, upper = bands
     bc_lower, bc_upper = boundaries
     implicit = time_weight == 0.5
+    scale = None
     if implicit:
         i_lower = 0.5 * dt * lower
         i_upper = 0.5 * dt * upper
-        *factors, _ = dgttrf(-i_lower[1:], 1.0 - 0.5 * dt * center, -i_upper[:-1])
+        below, diagonal, above = -i_lower[1:], 1.0 - 0.5 * dt * center, -i_upper[:-1]
+        if all(b != 0.0 and np.sign(b) == np.sign(a) for b, a in zip(below, above)):
+            # s_{i+1} / s_i = sqrt(b / a), and S's off-diagonal is b s_i / s_{i+1}
+            ratios = [np.sqrt(b / a) for b, a in zip(below, above)]
+            scale = [1.0]
+            for ratio in ratios:
+                scale.append(scale[-1] * ratio)
+            scale = np.array(scale)
+            d, e, info = dpttrf(diagonal, below / np.array(ratios))
+            assert info == 0
+            upper_weight = i_upper[-1] / scale[-1]
+        else:
+            *factors, _ = dgttrf(below, diagonal, above)
+            upper_weight = i_upper[-1]
     else:
         e_lower = dt * lower
         e_center = 1.0 + dt * center
         e_upper = dt * upper
-    v = level
+    v = level.copy()
+    if scale is not None:
+        v[1:-1] = v[1:-1] / scale
     levels = np.empty((bc_lower.size + 1, v.size)) if keep_surface else None
     if keep_surface:
-        levels[0] = v
+        levels[0] = level
     oscillation = False
     for n in range(bc_lower.size):
         if implicit:
             interior = v[1:-1] + v[1:-1]
             interior[0] += i_lower[0] * (v[0] + bc_lower[n])
-            interior[-1] += i_upper[-1] * (v[-1] + bc_upper[n])
-            interior, _ = dgttrs(*factors, interior)
+            interior[-1] += upper_weight * (v[-1] + bc_upper[n])
+            if scale is not None:
+                interior, _ = dpttrs(d, e, interior)
+            else:
+                interior, _ = dgttrs(*factors, interior)
             interior = interior - v[1:-1]
         else:
             interior = e_lower * v[:-2] + e_center * v[1:-1] + e_upper * v[2:]
@@ -179,14 +201,20 @@ def reference_march(level, bands, boundaries, dt, time_weight, *, keep_surface):
         v = out
         if keep_surface:
             levels[n + 1] = v
+            if scale is not None:
+                levels[n + 1, 1:-1] = v[1:-1] * scale
+    if scale is not None:
+        v[1:-1] = v[1:-1] * scale
     return v, levels, oscillation
 
 
-def march_inputs(n_steps, kind=PUT, strike=7.5, spot=7.0, n_space=100, k=1.0):
+def march_inputs(
+    n_steps, kind=PUT, strike=7.5, spot=7.0, n_space=100, k=1.0, r=0.05, sigma=0.25
+):
     """Payoff, bands and boundaries of a contract marched ``n_steps`` steps
-    of 1e-3 years each (stable at 100 nodes for k = 1)."""
+    of 1e-3 years each (stable at 100 nodes for k = 1 and the default market)."""
     contract = OptionContract(kind=kind, strike=strike, maturity=n_steps / 1000, spot=spot)
-    market = MarketParams(r=0.05, sigma=0.25)
+    market = MarketParams(r=r, sigma=sigma)
     disc = build_grid(contract, n_space=n_space, n_time=n_steps)
     s = disc.nodes()
     thetas = _theta_values(market, s[1:-1], disc.ds, ThetaConfig(scaling=k))
@@ -230,6 +258,22 @@ class TestMarch:
             time_weight=time_weight, keep_surface=keep_surface,
         )
         np.testing.assert_array_equal(level, before)
+
+    @pytest.mark.parametrize("kind", [CALL, PUT])
+    @pytest.mark.parametrize("r, sigma", [(0.05, 0.25), (0.1, 0.05)])
+    def test_implicit_ring_equals_the_reference_loop_on_either_solve(self, r, sigma, kind):
+        # a call's upper boundary is nonzero, so its edge term, divided by s
+        # at the last node on the symmetric solve, enters every step; at
+        # r / sigma^2 = 40 the lower band is negative at the first nodes
+        # (Peclet number above 1), so A's off-diagonal pairs there have
+        # opposite signs and the march solves with dgttrs on the parent's bits
+        level, bands, boundaries, dt = march_inputs(
+            2 * model._MARCH_ROWS + 1, kind=kind, strike=5.5, spot=5.0, r=r, sigma=sigma
+        )
+        assert (bands[0][1:] < 0.0).any() == (r / sigma**2 >= 2.0)
+        assert_marches_agree(
+            level, bands, boundaries, dt, time_weight=0.5, keep_surface=True
+        )
 
     @pytest.mark.parametrize("time_weight", [0.25, 1.0])
     def test_weight_other_than_explicit_or_trapezoidal_rejected(self, time_weight):
@@ -382,10 +426,18 @@ class TestBuildGrid:
         {"n_time": 0},
         {"n_space": 3},
         {"n_time": 10.0},
+        {"n_time": np.bool_(True)},
+        {"n_space": np.bool_(True)},
     ])
     def test_counts_that_are_no_int_rejected(self, kwargs):
         with pytest.raises(ValidationError, match="must be an int >= "):
             build_grid(make_contract(), **kwargs)
+
+    @pytest.mark.parametrize("integer", [np.int64, np.int32])
+    def test_numpy_integer_counts_become_python_ints(self, integer):
+        disc = build_grid(make_contract(), n_space=integer(100), n_time=integer(1000))
+        assert type(disc.n_space) is int and type(disc.n_time) is int
+        assert disc == build_grid(make_contract(), n_space=100, n_time=1000)
 
     def test_count_that_is_a_string_is_quoted(self):
         with pytest.raises(ValidationError, match="n_space must be an int >= 4, got '100'"):
@@ -420,7 +472,9 @@ class TestDiscretization:
         with pytest.raises(ValidationError):
             Discretization(s_max=3.0, n_space=3, n_time=5, ds=1.0, dt=0.1)
 
-    @pytest.mark.parametrize("n_time", [True, False, 1.0])
+    # the grid stores its fields as given, so only build_grid converts a
+    # numpy integer
+    @pytest.mark.parametrize("n_time", [True, False, 1.0, np.int64(5)])
     def test_n_time_that_is_no_int_rejected(self, n_time):
         with pytest.raises(ValidationError, match="n_time must be an int >= 1"):
             Discretization(s_max=10.0, n_space=10, n_time=n_time, ds=1.0, dt=0.1)
