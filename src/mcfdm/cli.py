@@ -39,7 +39,8 @@ from .model import (
     OptionContract,
     OptionKind,
     PricingResult,
-    _require_count,
+    _count,
+    _real,
     build_grid,
 )
 from .monte_carlo import McConfig, price_monte_carlo
@@ -169,13 +170,12 @@ class JobSpec:
                 *head, last = map(repr, words)
                 allowed = ", ".join(head) + ("," if head[1:] else "") + f" or {last}"
                 raise ValidationError(f"{name} must be {allowed}, got {value!r}")
-        if isinstance(self.s_max, str):
-            if self.s_max != "auto":
-                raise ValidationError(f"s_max must be 'auto' or a number, got {self.s_max!r}")
         # checked for every method, not only where a grid is built, so that
         # no report echoes a bound no grid can use (NaN and inf are not JSON)
-        elif not math.isfinite(self.s_max) or self.s_max <= 0.0:
-            raise ValidationError(f"s_max must be finite and > 0, got {self.s_max}")
+        if self.s_max != "auto":
+            if isinstance(self.s_max, str):
+                raise ValidationError(f"s_max must be 'auto' or a number, got {self.s_max!r}")
+            _real("s_max", self.s_max)
 
 
 _JOB_HINTS = get_type_hints(JobSpec)
@@ -460,7 +460,7 @@ def run_timing(job: JobSpec, repeats: int = 5) -> TableReport:
     job's full time grid here unless ``mc_steps`` pins a step count, so
     all methods advance through the same number of time levels.
     """
-    _require_count("repeats", repeats, 3)
+    repeats = _count("repeats", repeats, 3)
     if job.mc_steps is None:
         job = replace(job, mc_steps=job.n_time)
     plan = _plan(_methods_for(job, numerical_only=True), [job])

@@ -26,6 +26,7 @@ from .model import (
     Method,
     OptionContract,
     PricingResult,
+    _real,
     _solve_grid,
 )
 from .oracle import _scored
@@ -66,8 +67,7 @@ class ThetaConfig:
 
     def __post_init__(self) -> None:
         # scaling 0 is the documented convection-off switch
-        if not math.isfinite(self.scaling) or self.scaling < 0.0:
-            raise ValidationError(f"scaling must be >= 0, got {self.scaling}")
+        _real("scaling", self.scaling, positive=False)
         if not isinstance(self.alpha_profile, AlphaProfile):
             raise ValidationError(f"unknown alpha profile: {self.alpha_profile!r}")
 

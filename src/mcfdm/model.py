@@ -33,20 +33,24 @@ OSCILLATION_TOLERANCE = 1e-9
 _MARCH_ROWS = 32
 
 
-def _require_count(name: str, value: object, minimum: int) -> None:
-    """Reject a count that is not an int, or is below ``minimum``."""
+def _count(name: str, value: object, minimum: int) -> int:
+    """``value`` as a Python int, when it is an integer of any type but bool
+    (numpy's included) and at least ``minimum``; else a ValidationError."""
     # a bool is an int to isinstance, but True is no count of anything
-    if isinstance(value, bool) or not isinstance(value, int) or value < minimum:
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral) or value < minimum:
         raise ValidationError(f"{name} must be an int >= {minimum}, got {value!r}")
+    return int(value)
 
 
-def _as_count(name: str, value: object, minimum: int) -> int:
-    """``value`` as a Python int when it is an integer of any type but bool
-    (numpy's included), checked as by :func:`_require_count`."""
-    if isinstance(value, numbers.Integral) and not isinstance(value, bool):
-        value = int(value)
-    _require_count(name, value, minimum)
-    return value
+def _real(name: str, value: object, *, positive: bool = True) -> None:
+    """Reject ``value`` unless it is a finite real number, not a bool, that
+    is > 0, or >= 0 when not ``positive``."""
+    bound = "> 0" if positive else ">= 0"
+    # a bool is a number to isinstance, but True is no price, rate or time
+    if isinstance(value, bool) or not isinstance(value, numbers.Real) or not (
+        math.isfinite(value) and (value > 0.0 if positive else value >= 0.0)
+    ):
+        raise ValidationError(f"{name} must be finite and {bound}, got {value!r}")
 
 
 class OptionKind(enum.Enum):
@@ -77,10 +81,8 @@ class MarketParams:
     sigma: float
 
     def __post_init__(self) -> None:
-        if not math.isfinite(self.r) or self.r < 0.0:
-            raise ValidationError(f"r must be finite and >= 0, got {self.r}")
-        if not math.isfinite(self.sigma) or self.sigma <= 0.0:
-            raise ValidationError(f"sigma must be finite and > 0, got {self.sigma}")
+        _real("r", self.r, positive=False)
+        _real("sigma", self.sigma)
 
 
 @dataclass(frozen=True, slots=True)
@@ -94,9 +96,7 @@ class OptionContract:
         if not isinstance(self.kind, OptionKind):
             raise ValidationError(f"unknown option kind: {self.kind!r}")
         for name in ("strike", "maturity", "spot"):
-            value = getattr(self, name)
-            if not math.isfinite(value) or value <= 0.0:
-                raise ValidationError(f"{name} must be finite and > 0, got {value}")
+            _real(name, getattr(self, name))
 
 
 @dataclass(frozen=True, slots=True)
@@ -110,14 +110,11 @@ class Discretization:
     dt: float
 
     def __post_init__(self) -> None:
-        _require_count("n_space", self.n_space, 4)
-        _require_count("n_time", self.n_time, 1)
-        if not math.isfinite(self.s_max) or self.s_max <= 0.0:
-            raise ValidationError(f"s_max must be finite and > 0, got {self.s_max}")
-        if not math.isfinite(self.ds) or self.ds <= 0.0:
-            raise ValidationError(f"ds must be finite and > 0, got {self.ds}")
-        if not math.isfinite(self.dt) or self.dt <= 0.0:
-            raise ValidationError(f"dt must be finite and > 0, got {self.dt}")
+        # held as Python ints, so that no report holds a numpy scalar
+        for name, minimum in (("n_space", 4), ("n_time", 1)):
+            object.__setattr__(self, name, _count(name, getattr(self, name), minimum))
+        for name in ("s_max", "ds", "dt"):
+            _real(name, getattr(self, name))
         if abs(self.ds * self.n_space - self.s_max) > _REL_TOL * max(1.0, self.s_max):
             raise ValidationError(
                 f"inconsistent grid: ds*n_space={self.ds * self.n_space!r} "
@@ -224,11 +221,13 @@ def _march(
     A is factored once, and each step doubles u, adds the boundary terms
     beta of both levels, solves into the ring row and subtracts u.
 
-    When each pair A[i+1, i], A[i, i+1] shares a strict sign (for the
-    classical stencil, whenever r / sigma^2 < 2), the diagonal similarity
-    S = D^-1 A D with D = diag(s), s_0 = 1 and
-    s_{i+1} = s_i sqrt(A[i+1, i] / A[i, i+1]), is symmetric. If s is finite
-    and positive and ``dpttrf`` factors S as L D L^T, the march carries
+    The diagonal similarity S = D^-1 A D with D = diag(s), s_0 = 1 and
+    s_{i+1} = s_i sqrt(A[i+1, i] / A[i, i+1]) is symmetric when s is finite
+    and positive. That needs each pair A[i+1, i], A[i, i+1] to share a
+    strict sign (for the classical stencil, whenever r / sigma^2 < 2): a
+    pair of opposite signs or with a zero makes s NaN, 0 or inf, as does an
+    overflow or underflow. If s is finite and positive and ``dpttrf``
+    factors S as L D L^T, the march carries
     w = D^-1 u on the interior, steps w <- S^-1 (2w + D^-1 beta) - w with
     ``dpttrs`` and scales the last level (and the kept surface) by s at the
     end. beta is nonzero only in the first and last interior rows, where
@@ -267,16 +266,16 @@ def _march(
         i_upper = half_dt * upper
         below, diagonal, above = -i_lower[1:], 1.0 - half_dt * center, -i_upper[:-1]
         solve = None
-        # signs compared, not multiplied, so that no product can overflow
-        if (((below > 0.0) & (above > 0.0)) | ((below < 0.0) & (above < 0.0))).all():
-            with np.errstate(over="ignore"):
-                ratio = np.sqrt(below / above)
-                scale = np.cumprod(np.concatenate(([1.0], ratio)))
-            if np.isfinite(scale).all() and (scale > 0.0).all():
-                # S's off-diagonal, below s_i / s_{i+1} = sign sqrt(below above)
-                *factors, info = dpttrf(diagonal, below / ratio)
-                if info == 0:
-                    solve, trailing = dpttrs, (True,)
+        # a pair's sign mismatch or zero, like an overflow, leaves s with a
+        # NaN, 0 or inf, so one test picks the path
+        with np.errstate(all="ignore"):
+            ratio = np.sqrt(below / above)
+            scale = np.cumprod(np.concatenate(([1.0], ratio)))
+        if (np.isfinite(scale) & (scale > 0.0)).all():
+            # S's off-diagonal, below s_i / s_{i+1} = sign sqrt(below above)
+            *factors, info = dpttrf(diagonal, below / ratio)
+            if info == 0:
+                solve, trailing = dpttrs, (True,)
         if solve is None:
             *factors, info = dgttrf(below, diagonal, above)
             if info != 0:
@@ -381,12 +380,10 @@ def build_grid(
     ``ds`` (keeping ``n_space`` intervals) so the spot falls exactly on a
     node whenever an interior node index exists for it; solvers interpolate
     linearly when it does not. An explicit ``s_max`` is a real number (not a
-    bool), used as given, and must exceed ``max(spot, strike)``. The counts
-    may be integers of any type but bool (numpy's included); the grid holds
-    them as Python ints.
+    bool), used as given, and must exceed ``max(spot, strike)``.
     """
-    n_space = _as_count("n_space", n_space, 4)
-    n_time = _as_count("n_time", n_time, 1)
+    n_space = _count("n_space", n_space, 4)
+    n_time = _count("n_time", n_time, 1)
     # a bool is a number to isinstance, but True is no price level
     if s_max != "auto" and (isinstance(s_max, bool) or not isinstance(s_max, numbers.Real)):
         raise ValidationError(f"s_max must be 'auto' or a number, got {s_max!r}")

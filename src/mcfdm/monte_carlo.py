@@ -24,7 +24,8 @@ from .model import (
     Method,
     OptionContract,
     PricingResult,
-    _require_count,
+    _count,
+    _real,
     payoff,
 )
 from .oracle import _scored
@@ -51,14 +52,13 @@ class McConfig:
     n_time_steps: int = 1
 
     def __post_init__(self) -> None:
-        _require_count("n_paths", self.n_paths, 1)
-        # a bool is an int to isinstance, but False is no seed
-        is_int = isinstance(self.seed, int) and not isinstance(self.seed, bool)
-        if not is_int or not 0 <= self.seed <= _MAX_SEED:
+        # held as Python ints, so that no report holds a numpy scalar
+        for name, minimum in (("n_paths", 1), ("seed", 0), ("n_time_steps", 1)):
+            object.__setattr__(self, name, _count(name, getattr(self, name), minimum))
+        if self.seed > _MAX_SEED:
             raise ValidationError(
                 f"seed must be an int in [0, 2**64 - 1], got {self.seed}"
             )
-        _require_count("n_time_steps", self.n_time_steps, 1)
 
 
 def sample_terminal_price(
@@ -75,14 +75,14 @@ def sample_terminal_price(
     geometric Brownian motion at every step count. ``normals`` is left
     unchanged.
     """
-    _require_count("n_steps", n_steps, 1)
+    n_steps = _count("n_steps", n_steps, 1)
     z = np.asarray(normals, dtype=float)
     if z.ndim != 2 or z.shape[0] != n_steps:
         raise ValidationError(
             f"normals must have shape ({n_steps}, m), got {z.shape}"
         )
-    if not all(math.isfinite(x) and x > 0.0 for x in (s0, t_total)):
-        raise ValidationError("s0, t_total must be finite and > 0")
+    _real("s0", s0)
+    _real("t_total", t_total)
     dt = t_total / n_steps
     st = np.full(z.shape[1], s0, dtype=float)
     for start in range(0, z.shape[0], _CHUNK_ROWS):
@@ -164,7 +164,7 @@ def price_monte_carlo(
     """
     if n_workers is None:
         n_workers = _usable_cpus() if config.n_time_steps >= _POOL_MIN_STEPS else 1
-    _require_count("n_workers", n_workers, 1)
+    n_workers = _count("n_workers", n_workers, 1)
     # the normal transform loads before the clock starts, so a cold first
     # call times its simulation and not the import
     import scipy.special  # noqa: F401

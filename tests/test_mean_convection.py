@@ -1,4 +1,8 @@
+import hashlib
+import itertools
+import json
 import math
+import random
 import tracemalloc
 
 import numpy as np
@@ -34,6 +38,22 @@ DT_MAX_DEFAULT_GRID = 0.001619269304726242
 
 
 PROPORTIONAL = AlphaProfile.PROPORTIONAL
+
+# SHA-256 of every MCFDM case's price, extra, flag and surface; written
+# before the input checks moved into one helper, and held since. Any change
+# to a bit of any case moves it.
+MCFDM_MATRIX_DIGEST = "75327107aa47e7754476a72408fcb6aad5e369779cbe340ddc7fd5055ab2c504"
+# kind, (spot, strike), r, sigma, scaling, (n_space, n_time), alpha profile:
+# 240 of the 960 combinations, drawn once with a fixed seed
+MCFDM_MATRIX = random.Random(0).sample(list(itertools.product(
+    tuple(OptionKind),
+    ((7.0, 7.5), (100.0, 90.0)),
+    (0.0, 0.05, 0.1),
+    (0.05, 0.25),
+    (0.0, 0.5, 1.0, 2.0, 30.0),
+    ((50, 400), (100, 1000)),
+    tuple(AlphaProfile),
+)), 240)
 
 
 def market(r=0.05, sigma=0.25):
@@ -433,3 +453,26 @@ class TestSolveMcfdm:
         c = contract(kind=PUT)
         with pytest.raises(StabilityError):
             solve_mcfdm(c, market(), build_grid(c), ThetaConfig(scaling=80.0))
+
+
+class TestBitIdentity:
+    def test_mcfdm_matrix_digest_holds(self):
+        # a refactor or a perf change of the explicit march must keep every
+        # bit of every case, unstable and oscillating ones included
+        digest = hashlib.sha256()
+        flagged = 0
+        for kind, (spot, strike), r, sigma, k, (n_space, n_time), profile in MCFDM_MATRIX:
+            c = contract(kind=kind, strike=strike, spot=spot)
+            report = solve_mcfdm(
+                c, market(r, sigma), build_grid(c, n_space, n_time),
+                ThetaConfig(scaling=k, alpha_profile=profile),
+                allow_unstable=True, keep_surface=True,
+            )
+            extra = report.result.extra
+            flagged += extra["oscillation"]
+            digest.update(repr(report.result.price).encode())
+            digest.update(json.dumps(extra, sort_keys=True).encode())
+            digest.update(report.surface.tobytes())
+        # the matrix covers both sides of the oscillation flag
+        assert 0 < flagged < len(MCFDM_MATRIX)
+        assert digest.hexdigest() == MCFDM_MATRIX_DIGEST

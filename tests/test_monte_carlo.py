@@ -55,8 +55,6 @@ class TestMcConfig:
             {"n_paths": True},
             {"seed": False},
             {"n_time_steps": True},
-            # the config stores its fields as given, so a numpy integer is no int
-            {"n_paths": np.int64(100)},
         ],
     )
     def test_rejects_bad_fields(self, kwargs):
