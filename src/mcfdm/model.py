@@ -42,15 +42,20 @@ def _count(name: str, value: object, minimum: int) -> int:
     return int(value)
 
 
-def _real(name: str, value: object, *, positive: bool = True) -> None:
-    """Reject ``value`` unless it is a finite real number, not a bool, that
-    is > 0, or >= 0 when not ``positive``."""
-    bound = "> 0" if positive else ">= 0"
+def _real(name: str, value: object, *, positive: bool = True) -> float:
+    """``value`` as a Python float, when it is a finite real number, not a
+    bool, that is > 0, or >= 0 when not ``positive``; else a ValidationError."""
+    number = math.nan
     # a bool is a number to isinstance, but True is no price, rate or time
-    if isinstance(value, bool) or not isinstance(value, numbers.Real) or not (
-        math.isfinite(value) and (value > 0.0 if positive else value >= 0.0)
-    ):
+    if not isinstance(value, bool) and isinstance(value, numbers.Real):
+        try:
+            number = float(value)
+        except OverflowError:  # an int beyond the float range
+            pass
+    if not (math.isfinite(number) and (number > 0.0 if positive else number >= 0.0)):
+        bound = "> 0" if positive else ">= 0"
         raise ValidationError(f"{name} must be finite and {bound}, got {value!r}")
+    return number
 
 
 class OptionKind(enum.Enum):
@@ -198,6 +203,54 @@ def _boundaries(
     return discounted_strike, zeros
 
 
+def _scan_can_fire(
+    weights: tuple[np.ndarray, np.ndarray, np.ndarray],
+    level: np.ndarray,
+    boundaries: tuple[np.ndarray, np.ndarray],
+) -> bool:
+    """Whether an explicit march with these weights and data might set the
+    oscillation flag; False only where the bound below proves it cannot.
+
+    With every weight >= 0 and nonnegative data, every level stays >= 0,
+    and a computed step at a node whose weights sum to W is at most
+    W max(L, M, R) (1 + u)^3 (u = 2^-53). Each level is then at most
+    B = max(data) g^n, with g = max(1, max W (1 + 2^-50)) for the march's
+    n steps, and no step exceeds its neighborhood's maximum by more than
+    B (g - 1). The factor 1 + 2^-50 covers (1 + u)^3 and the rounding of
+    W. The flag cannot be set when that is at most half the tolerance.
+
+    A weight whose neighbour is a boundary column that is zero at every
+    level (S = 0 for a call, s_max for a put) multiplies only +-0, so it is
+    left out of the sign test and of W. Any NaN or inf means a scan.
+    """
+    e_lower, e_center, e_upper = weights
+    bc_lower, bc_upper = boundaries
+    data = (level, bc_lower, bc_upper)
+    if not all(np.isfinite(a).all() for a in (*weights, *data)):
+        return True
+    if level[0] == 0.0 and not bc_lower.any():
+        e_lower = np.concatenate(([0.0], e_lower[1:]))
+    if level[-1] == 0.0 and not bc_upper.any():
+        e_upper = np.concatenate((e_upper[:-1], [0.0]))
+    if min(float(a.min()) for a in (e_lower, e_center, e_upper, *data)) < 0.0:
+        return True
+    top = max(float(a.max()) for a in data)
+    # finite weights of any size may sum past the float range; g is then inf
+    with np.errstate(over="ignore"):
+        sums = e_lower + e_center + e_upper
+    growth = max(1.0, float(sums.max()) * (1.0 + 2.0**-50))
+    excess = top * (growth - 1.0)
+    # g - 1 alone can fail the bound, and then g^n may overflow
+    if not excess <= 0.5 * OSCILLATION_TOLERANCE:
+        return True
+    if excess == 0.0:
+        return False
+    # B (g - 1) = excess g^n, compared in logs, which cannot overflow
+    return bc_lower.size * math.log1p(growth - 1.0) > math.log(
+        0.5 * OSCILLATION_TOLERANCE / excess
+    )
+
+
 def _march(
     level: np.ndarray,
     bands: tuple[np.ndarray, np.ndarray, np.ndarray],
@@ -241,9 +294,17 @@ def _march(
     maximum of its previous-level neighborhood by more than
     ``OSCILLATION_TOLERANCE`` (a step with a NaN does not count). It scans a
     block's levels as one flat run, so the two entries per level that
-    straddle the seam to the next level are computed but never read. An
-    implicit step is not a weighted average of that neighborhood, so it
-    skips the check and the flag reads False.
+    straddle the seam to the next level are computed but never read. The
+    march skips the scan, and the flag reads False, when
+    :func:`_scan_can_fire` proves that no step can set it: every weight
+    >= 0, the payoff and boundaries >= 0 and finite, and the bound
+    B (g - 1) on any step's excess at most half the tolerance. For k = 1,
+    within the stability bound and on option-sized data, that holds
+    whenever r <= sigma^2, and for calls up to r = 2 sigma^2, whose one
+    negative weight, node 1's lower one, multiplies the zero column at
+    S = 0. The levels do not depend on the scan, so they keep their bits
+    either way. An implicit step is not a weighted average
+    of that neighborhood, so it skips the check and the flag reads False.
     """
     if time_weight not in (0.0, 0.5):
         raise ValidationError(f"time weight must be 0 or 0.5, got {time_weight!r}")
@@ -293,7 +354,9 @@ def _march(
         e_center = 1.0 + dt * center
         e_upper = dt * upper
         scratch = np.empty(width - 2)
-        excess = np.empty(ring[1:].size)
+        scan = _scan_can_fire((e_lower, e_center, e_upper), level, boundaries)
+        if scan:
+            excess = np.empty(ring[1:].size)
     levels = np.empty((n_steps + 1, width)) if keep_surface else None
     if keep_surface:
         levels[0] = level
@@ -323,7 +386,7 @@ def _march(
                 add(inner, scratch, inner)
                 multiply(e_upper, right, scratch)
                 add(inner, scratch, inner)
-            if not oscillation:
+            if scan and not oscillation:
                 # flat entry j: level j // width's excess at node j % width + 1
                 prev = ring[:m].reshape(-1)
                 run = excess[: m * width - 2]

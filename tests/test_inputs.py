@@ -23,7 +23,7 @@ from mcfdm import (
     sample_terminal_price,
     solve_mcfdm,
 )
-from mcfdm.cli import JobSpec, run_timing
+from mcfdm.cli import JobSpec, run_table, run_timing
 
 MARKET = MarketParams(r=0.05, sigma=0.25)
 
@@ -70,6 +70,28 @@ NOT_A_NUMBER = [True, np.bool_(True), "7", None, math.nan, math.inf, -math.inf]
 def test_number_field_refuses_what_is_no_finite_real(field, build, value):
     with pytest.raises(ValidationError, match=rf"\b{field}\b"):
         build(value)
+
+
+class TestHugeIntegers:
+    # an int beyond the float range is a real number that no float holds
+    def test_contract_names_the_field(self):
+        with pytest.raises(ValidationError, match=r"\bstrike\b"):
+            OptionContract(OptionKind.CALL, 10**400, 1.0, 7.0)
+
+    def test_table_names_the_field_before_any_row_runs(self):
+        with pytest.raises(ValidationError, match=r"\bstrike\b"):
+            run_table([1.0], JobSpec(method="Exact", strike=10**400))
+
+
+def test_numpy_scaling_is_held_and_reported_as_a_python_float():
+    config = ThetaConfig(scaling=np.float32(2.0))
+    assert type(config.scaling) is float
+    c = contract()
+    disc = build_grid(c, n_space=50, n_time=400)
+    result = solve_mcfdm(c, MARKET, disc, config).result
+    json.dumps(result.extra)
+    # numpy promotes the float32 scalar to float64 exactly, so the price holds
+    assert result.price == solve_mcfdm(c, MARKET, disc, ThetaConfig(scaling=2.0)).result.price
 
 
 @pytest.mark.parametrize("integer", [np.int64, np.int32])

@@ -1,9 +1,10 @@
 import dataclasses
 import math
+import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import event, given, settings
 from hypothesis import strategies as st
 
 from mcfdm import (
@@ -18,7 +19,14 @@ from mcfdm import (
 )
 from mcfdm import model
 from mcfdm.mean_convection import ThetaConfig, _theta_values
-from mcfdm.model import OSCILLATION_TOLERANCE, Method, _boundaries, _march, _operator
+from mcfdm.model import (
+    OSCILLATION_TOLERANCE,
+    Method,
+    _boundaries,
+    _march,
+    _operator,
+    _scan_can_fire,
+)
 
 CALL = OptionKind.CALL
 PUT = OptionKind.PUT
@@ -395,6 +403,164 @@ class TestMarch:
             time_weight=0.0, keep_surface=False,
         )
         assert oscillation
+
+
+def explicit_weights(bands, dt):
+    """The explicit step's weights, as ``_march`` forms them from ``bands``."""
+    lower, center, upper = bands
+    return dt * lower, 1.0 + dt * center, dt * upper
+
+
+def scan_can_fire(level, bands, boundaries, dt):
+    return _scan_can_fire(explicit_weights(bands, dt), level, boundaries)
+
+
+class TestScanSkip:
+    """The oscillation scan runs unless the bands and data prove that it
+    cannot set the flag."""
+
+    def test_skips_on_the_default_put(self):
+        assert not scan_can_fire(*march_inputs(1000))
+
+    def test_skips_on_a_call_whose_one_negative_weight_meets_a_zero_column(self):
+        # at r = 0.1 > sigma^2 node 1's lower weight is negative, but a
+        # call's S = 0 column is zero at every level
+        level, bands, boundaries, dt = march_inputs(1000, kind=CALL, r=0.1)
+        e_lower, _, _ = explicit_weights(bands, dt)
+        assert e_lower[0] < 0.0 and (e_lower[1:] >= 0.0).all()
+        assert level[0] == 0.0 and not boundaries[0].any()
+        assert not scan_can_fire(level, bands, boundaries, dt)
+
+    def test_scans_a_put_at_a_rate_above_sigma_squared(self):
+        # the put's S = 0 column is its discounted strike, not zero
+        assert scan_can_fire(*march_inputs(1000, r=0.1))
+
+    def test_scans_the_plateau(self):
+        # rounding on a level of 1e9 exceeds the tolerance: the bound is
+        # about 5e-7 there
+        contract = OptionContract(kind=PUT, strike=7.5, maturity=1.0, spot=7.0)
+        market = MarketParams(r=0.0, sigma=0.25)
+        disc = build_grid(contract, n_space=100, n_time=1000)
+        s = disc.nodes()
+        bands = _operator(market, s[1:-1], np.ones(disc.n_space - 1), disc.ds)
+        plateau = np.full(disc.n_time, 1e9)
+        assert scan_can_fire(np.full(s.size, 1e9), bands, (plateau, plateau), disc.dt)
+
+    def test_scans_negative_data(self):
+        # a level below zero rises towards zero under weights that sum to
+        # 1 - r dt < 1, so a constant -1e6 comes back 50 above itself
+        level, bands, _, dt = march_inputs(100)
+        negative = np.full(100, -1e6)
+        args = (np.full(level.size, -1e6), bands, (negative, negative), dt)
+        assert scan_can_fire(*args)
+        assert _march(*args, 0.0, keep_surface=False)[2]
+
+    @pytest.mark.parametrize("value", [math.nan, math.inf])
+    @pytest.mark.parametrize("where", ["level", "lower boundary", "upper boundary", "band"])
+    def test_scans_on_a_nan_or_inf(self, where, value):
+        level, bands, (bc_lower, bc_upper), dt = march_inputs(100)
+        level, bands = level.copy(), [band.copy() for band in bands]
+        target = {
+            "level": level, "lower boundary": bc_lower,
+            "upper boundary": bc_upper, "band": bands[0],
+        }[where]
+        # the last entry: the put's upper column and node n - 1's lower band,
+        # neither of which a zero column drops
+        target[-1] = value
+        assert scan_can_fire(level, bands, (bc_lower, bc_upper), dt)
+
+    def test_scans_a_nan_weight_next_to_a_zero_column(self):
+        # 0 * NaN is NaN, so a weight that meets a zero column counts when
+        # it is not finite
+        level, bands, boundaries, dt = march_inputs(100, kind=CALL)
+        lower = bands[0].copy()
+        lower[0] = math.nan
+        assert scan_can_fire(level, (lower, *bands[1:]), boundaries, dt)
+
+    @pytest.mark.parametrize("kind", [CALL, PUT])
+    @pytest.mark.parametrize(
+        "n_space, r, sigma",
+        [
+            (400, 0.05, 0.25),
+            # only node 1's lower weight is negative, so a call's drops it
+            # and node 1's weights then sum well above 1
+            (100, 0.003, 0.25),
+        ],
+    )
+    def test_scans_k30_bands_with_no_warning(self, kind, n_space, r, sigma):
+        args = march_inputs(
+            1000, kind=kind, strike=5.5, spot=5.0, n_space=n_space, k=30.0, r=r, sigma=sigma
+        )
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert scan_can_fire(*args)
+
+    def test_a_growth_whose_power_overflows_scans_with_no_warning(self):
+        # g = 2 passes the bound on its own at data of 1e-12, and
+        # 2^2000 is past the float range
+        n, n_steps = 11, 2000
+        bands = (np.full(n - 2, 1.0), np.zeros(n - 2), np.zeros(n - 2))
+        tiny = np.full(n_steps, 1e-12)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert scan_can_fire(np.full(n, 1e-12), bands, (tiny, tiny), 1.0)
+
+    def test_weights_whose_sum_overflows_scan_with_no_warning(self):
+        n = 11
+        bands = (np.full(n - 2, 1e308), np.zeros(n - 2), np.full(n - 2, 1e308))
+        ones = np.ones(4)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert scan_can_fire(np.ones(n), bands, (ones, ones), 1.0)
+
+    def test_a_march_that_skips_reports_no_oscillation(self, monkeypatch):
+        verdicts = []
+
+        def spy(*args):
+            verdicts.append(_scan_can_fire(*args))
+            return verdicts[-1]
+
+        monkeypatch.setattr(model, "_scan_can_fire", spy)
+        _, _, oscillation = _march(*march_inputs(1000), 0.0, keep_surface=False)
+        assert verdicts == [False]
+        assert oscillation is False
+
+    @given(data=st.data())
+    @settings(max_examples=150, deadline=None)
+    def test_a_skip_is_never_a_missed_flag(self, data):
+        # monotone bands and nonnegative data, with zero boundary columns
+        # (and then, sometimes, a negative weight next to one) and levels
+        # from 0 to 1e9
+        n = data.draw(st.integers(5, 24), label="nodes")
+        n_steps = data.draw(st.integers(1, 2 * model._MARCH_ROWS + 3), label="steps")
+        dt = data.draw(st.sampled_from([1e-4, 1e-3]), label="dt")
+        scale = data.draw(st.sampled_from([0.0, 1.0, 1e3, 1e9]), label="scale")
+        # at r = 0 the weights sum to 1 up to rounding, which can flag
+        r = data.draw(st.just(0.0) | st.floats(0.0, 0.2), label="r")
+        positive = st.floats(0.0, 400.0)
+        lower = np.array(data.draw(st.lists(positive, min_size=n - 2, max_size=n - 2)))
+        upper = np.array(data.draw(st.lists(positive, min_size=n - 2, max_size=n - 2)))
+        # a plateau, as in test_rounding_on_a_plateau_sets_the_flag, or not
+        unit = st.just(1.0) if data.draw(st.booleans(), label="plateau") else st.floats(0.0, 1.0)
+        level = scale * np.array(data.draw(st.lists(unit, min_size=n, max_size=n)))
+        columns = []
+        for edge in (0, -1):
+            if data.draw(st.booleans(), label=f"zero column {edge}"):
+                level[edge] = 0.0
+                columns.append(np.zeros(n_steps))
+                band = lower if edge == 0 else upper
+                band[edge] = -data.draw(st.floats(0.0, 50.0), label=f"weight {edge}")
+            else:
+                columns.append(scale * np.array(data.draw(
+                    st.lists(unit, min_size=n_steps, max_size=n_steps)
+                )))
+        bands = (lower, -np.abs(lower) - np.abs(upper) - r, upper)
+        args = (level, bands, tuple(columns), dt)
+        scan = scan_can_fire(*args)
+        # the ring's flag is reference_march's, which scans every step
+        _, _, oscillation = assert_marches_agree(*args, time_weight=0.0, keep_surface=True)
+        event(f"scan {scan}, flag {oscillation}")
+        assert scan or not oscillation
 
 
 class TestBuildGrid:
