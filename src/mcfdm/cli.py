@@ -88,6 +88,8 @@ def format_error(value: float) -> str:
 
     0.00239 becomes ``"2.39E-3"`` and 0 becomes ``"0.00E0"``.
     """
+    if not math.isfinite(value):
+        raise ValidationError(f"error must be finite, got {value!r}")
     mantissa, _, exponent = f"{float(value):.2E}".partition("E")
     return f"{mantissa}E{int(exponent)}"
 

@@ -66,8 +66,7 @@ class ThetaConfig:
     alpha_profile: AlphaProfile = AlphaProfile.CONSTANT
 
     def __post_init__(self) -> None:
-        # scaling 0 is the documented convection-off switch; held as a
-        # Python float, so that no report holds a numpy scalar
+        # scaling 0 is the documented convection-off switch
         object.__setattr__(self, "scaling", _real("scaling", self.scaling, positive=False))
         if not isinstance(self.alpha_profile, AlphaProfile):
             raise ValidationError(f"unknown alpha profile: {self.alpha_profile!r}")

@@ -35,7 +35,8 @@ _MARCH_ROWS = 32
 
 def _count(name: str, value: object, minimum: int) -> int:
     """``value`` as a Python int, when it is an integer of any type but bool
-    (numpy's included) and at least ``minimum``; else a ValidationError."""
+    (numpy's included) and at least ``minimum``; else a ValidationError.
+    Inputs hold and compute with what this returns, never a numpy scalar."""
     # a bool is an int to isinstance, but True is no count of anything
     if isinstance(value, bool) or not isinstance(value, numbers.Integral) or value < minimum:
         raise ValidationError(f"{name} must be an int >= {minimum}, got {value!r}")
@@ -44,7 +45,8 @@ def _count(name: str, value: object, minimum: int) -> int:
 
 def _real(name: str, value: object, *, positive: bool = True) -> float:
     """``value`` as a Python float, when it is a finite real number, not a
-    bool, that is > 0, or >= 0 when not ``positive``; else a ValidationError."""
+    bool, that is > 0, or >= 0 when not ``positive``; else a ValidationError.
+    Inputs hold and compute with what this returns, never a numpy scalar."""
     number = math.nan
     # a bool is a number to isinstance, but True is no price, rate or time
     if not isinstance(value, bool) and isinstance(value, numbers.Real):
@@ -86,8 +88,8 @@ class MarketParams:
     sigma: float
 
     def __post_init__(self) -> None:
-        _real("r", self.r, positive=False)
-        _real("sigma", self.sigma)
+        object.__setattr__(self, "r", _real("r", self.r, positive=False))
+        object.__setattr__(self, "sigma", _real("sigma", self.sigma))
 
 
 @dataclass(frozen=True, slots=True)
@@ -101,7 +103,7 @@ class OptionContract:
         if not isinstance(self.kind, OptionKind):
             raise ValidationError(f"unknown option kind: {self.kind!r}")
         for name in ("strike", "maturity", "spot"):
-            _real(name, getattr(self, name))
+            object.__setattr__(self, name, _real(name, getattr(self, name)))
 
 
 @dataclass(frozen=True, slots=True)
@@ -115,11 +117,10 @@ class Discretization:
     dt: float
 
     def __post_init__(self) -> None:
-        # held as Python ints, so that no report holds a numpy scalar
         for name, minimum in (("n_space", 4), ("n_time", 1)):
             object.__setattr__(self, name, _count(name, getattr(self, name), minimum))
         for name in ("s_max", "ds", "dt"):
-            _real(name, getattr(self, name))
+            object.__setattr__(self, name, _real(name, getattr(self, name)))
         if abs(self.ds * self.n_space - self.s_max) > _REL_TOL * max(1.0, self.s_max):
             raise ValidationError(
                 f"inconsistent grid: ds*n_space={self.ds * self.n_space!r} "

@@ -52,7 +52,6 @@ class McConfig:
     n_time_steps: int = 1
 
     def __post_init__(self) -> None:
-        # held as Python ints, so that no report holds a numpy scalar
         for name, minimum in (("n_paths", 1), ("seed", 0), ("n_time_steps", 1)):
             object.__setattr__(self, name, _count(name, getattr(self, name), minimum))
         if self.seed > _MAX_SEED:
@@ -81,8 +80,8 @@ def sample_terminal_price(
         raise ValidationError(
             f"normals must have shape ({n_steps}, m), got {z.shape}"
         )
-    _real("s0", s0)
-    _real("t_total", t_total)
+    s0 = _real("s0", s0)
+    t_total = _real("t_total", t_total)
     dt = t_total / n_steps
     st = np.full(z.shape[1], s0, dtype=float)
     for start in range(0, z.shape[0], _CHUNK_ROWS):

@@ -35,6 +35,7 @@ def std_normal_cdf(x: float) -> float:
     Evaluated through the complementary error function, with absolute
     accuracy near machine precision (well below 1e-12).
     """
+    x = float(x)
     if not math.isfinite(x):
         raise ValidationError(f"x must be finite, got {x}")
     return 0.5 * math.erfc(-x / _SQRT2)
@@ -54,10 +55,17 @@ def black_scholes_price(
     r, sigma = market.r, market.sigma
     vol = sigma * math.sqrt(t)
     drift = math.log(s0 / k) + (r + 0.5 * sigma * sigma) * t
-    d1 = drift / vol if vol > 0.0 else math.copysign(math.inf, drift)
+    if math.isfinite(drift) and math.isfinite(vol):
+        d1 = drift / vol if vol > 0.0 else math.copysign(math.inf, drift)
+        d2 = d1 - vol
+    else:
+        # (r + sigma^2/2) T or sigma sqrt(T) overflowed: divided term by term,
+        # d1 and d2 stay defined, and as sigma -> inf call S0 and put K e^-rT
+        centre = math.log(s0 / k) / vol + r / sigma * math.sqrt(t)
+        d1, d2 = centre + 0.5 * vol, centre - 0.5 * vol
     # N is exactly 0 or 1 beyond ±_Z_CUTOFF, so clamping keeps every finite
     # d's price and gives sigma sqrt(T) -> 0 its limit max(±(S0 - K e^-rT), 0)
-    d1, d2 = (min(max(d, -_Z_CUTOFF), _Z_CUTOFF) for d in (d1, d1 - vol))
+    d1, d2 = (min(max(d, -_Z_CUTOFF), _Z_CUTOFF) for d in (d1, d2))
     df_strike = k * math.exp(-r * t)
     if contract.kind is OptionKind.CALL:
         return s0 * std_normal_cdf(d1) - df_strike * std_normal_cdf(d2)

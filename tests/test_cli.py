@@ -87,6 +87,11 @@ class TestFormatError:
     def test_two_digit_mantissa_and_bare_exponent(self, value, text):
         assert format_error(value) == text
 
+    @pytest.mark.parametrize("value", [math.nan, math.inf])
+    def test_non_finite_value_is_named(self, value):
+        with pytest.raises(ValidationError, match=repr(value)):
+            format_error(value)
+
 
 class TestJobSpec:
     def test_defaults_mirror_the_benchmark_contract(self):
@@ -787,6 +792,11 @@ class TestMain:
         assert payload["rows"][0]["price"] == pytest.approx(
             0.21128911964800356, abs=1e-15
         )
+
+    def test_huge_volatility_prices_the_asset(self, capsys):
+        # sigma^2 T overflows; the closed form takes its sigma -> inf limit S0
+        assert main(["price", "--vol", "1e300", "--method", "exact"]) == 0
+        assert "     5.00000    (0.00E0)" in capsys.readouterr().out
 
     def test_invalid_argument_exits_one(self, capsys):
         assert main(["price", "--vol", "-3"]) == 1

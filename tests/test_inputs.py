@@ -1,7 +1,8 @@
 """One rule per kind of input, at every public type and entry point.
 
 A count is an integer of any type but bool, numpy's included, and is held
-as a Python int. A number is a finite real that is not a bool.
+as a Python int. A number is a finite real that is not a bool, and is held
+as a Python float.
 """
 
 import json
@@ -16,12 +17,19 @@ from mcfdm import (
     McConfig,
     OptionContract,
     OptionKind,
+    PricingResult,
     ThetaConfig,
     ValidationError,
+    black_scholes_price,
     build_grid,
+    crank_nicolson_surface,
+    max_stable_dt,
     price_monte_carlo,
+    risk_neutral_integral_price,
     sample_terminal_price,
+    solve_crank_nicolson,
     solve_mcfdm,
+    std_normal_cdf,
 )
 from mcfdm.cli import JobSpec, run_table, run_timing
 
@@ -124,3 +132,84 @@ class TestNumpyCounts:
         report = run_timing(JobSpec(method="MCFDM", n_space=20, n_time=100), repeats=integer(3))
         assert type(report.rows[0].metadata["repeats"]) is int
         json.loads(report.to_json())
+
+
+# each number of an entry point's inputs comes as one of these types; the
+# values below are exact in float16, so every type holds the same number
+NUMBER_TYPES = [float, int, np.float64, np.float32, np.float16]
+NORMALS = np.linspace(-2.0, 2.0, 10).reshape(2, 5)
+
+
+def typed(kind, value):
+    """``value`` as ``kind``, where ``int`` applies only to an integral value."""
+    return value if kind is int and value != int(value) else kind(value)
+
+
+def inputs(kind):
+    """A 7 / 7.5 put, its market and a hand-built grid, every number a ``kind``."""
+    v = lambda value: typed(kind, value)
+    market = MarketParams(r=v(0.0625), sigma=v(0.25))
+    put = OptionContract(OptionKind.PUT, v(7.5), v(1.0), v(7.0))
+    disc = Discretization(s_max=v(16.0), n_space=32, n_time=128, ds=v(0.5), dt=v(2.0**-7))
+    return v, market, put, disc
+
+
+# every public entry point that takes a number, called on inputs(kind)
+ENTRY_POINTS = {
+    "solve_mcfdm": lambda v, m, c, d: solve_mcfdm(c, m, d, ThetaConfig(v(1.0))).result,
+    "solve_crank_nicolson": lambda v, m, c, d: solve_crank_nicolson(c, m, d),
+    "crank_nicolson_surface": lambda v, m, c, d: crank_nicolson_surface(c, m, d),
+    "price_monte_carlo": lambda v, m, c, d: price_monte_carlo(c, m, McConfig(5000, 7, 2)),
+    "black_scholes_price": lambda v, m, c, d: black_scholes_price(c, m),
+    "risk_neutral_integral_price": lambda v, m, c, d: risk_neutral_integral_price(c, m),
+    "max_stable_dt": lambda v, m, c, d: max_stable_dt(m, d, ThetaConfig(v(1.0))),
+    "build_grid": lambda v, m, c, d: build_grid(c, n_space=32, n_time=128, s_max=v(16.0)),
+    "sample_terminal_price": lambda v, m, c, d: sample_terminal_price(
+        m, v(7.0), v(1.0), 2, NORMALS
+    ),
+    "std_normal_cdf": lambda v, m, c, d: std_normal_cdf(v(1.0)),
+}
+
+
+def held_bits(value):
+    """The bits of a result, after checking that it holds no numpy scalar."""
+    if isinstance(value, np.ndarray):
+        assert value.dtype == np.float64
+        return value.tobytes()
+    if isinstance(value, PricingResult):
+        # every float in extra is a Python float, and the report is JSON
+        for name, item in value.extra.items():
+            assert type(item) in (bool, int, float, str, type(None)), name
+        json.dumps(value.extra)
+        return (held_bits(value.price), held_bits(value.abs_error), repr(value.extra))
+    if isinstance(value, Discretization):
+        return tuple(held_bits(getattr(value, name)) for name in ("s_max", "ds", "dt"))
+    assert type(value) is float
+    return value.hex()
+
+
+@pytest.mark.parametrize("kind", NUMBER_TYPES, ids=lambda kind: kind.__name__)
+def test_input_types_hold_python_floats(kind):
+    _, market, put, disc = inputs(kind)
+    for owner, names in ((market, "r sigma"), (put, "strike maturity spot"), (disc, "s_max ds dt")):
+        for name in names.split():
+            assert type(getattr(owner, name)) is float, name
+    assert (market, put, disc) == inputs(float)[1:]
+
+
+@pytest.mark.parametrize("kind", NUMBER_TYPES, ids=lambda kind: kind.__name__)
+@pytest.mark.parametrize("entry", ENTRY_POINTS)
+def test_every_entry_point_gives_the_python_float_bits(entry, kind):
+    # a float16 or float32 field must not lower the precision of a grid, a
+    # price or its error against the closed form
+    assert held_bits(ENTRY_POINTS[entry](*inputs(kind))) == held_bits(
+        ENTRY_POINTS[entry](*inputs(float))
+    )
+
+
+def test_hand_built_float32_grid_is_checked_in_double_precision():
+    # float32 0.28 times 100 is 28 in float32, but 28.00000011920929 as doubles
+    with pytest.raises(ValidationError, match="inconsistent grid"):
+        Discretization(
+            s_max=np.float32(28.0), n_space=100, n_time=10, ds=np.float32(0.28), dt=0.1
+        )

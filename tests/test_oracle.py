@@ -1,5 +1,6 @@
 import math
 import time
+import warnings
 
 import pytest
 from hypothesis import given, settings
@@ -110,6 +111,22 @@ class TestBlackScholesPrice:
         expected = max(forward_gap if kind is CALL else -forward_gap, 0.0)
         c = contract(kind=kind, maturity=maturity, spot=spot)
         assert black_scholes_price(c, market(sigma=1e-320)) == expected
+
+    @pytest.mark.parametrize("maturity", [0.25, 1.0, 4.0])
+    @pytest.mark.parametrize("sigma", [1e150, 1e154, 2e154, 1e200, 1e300, 1.7e308])
+    def test_huge_volatility_takes_its_limit(self, sigma, maturity):
+        # (r + sigma^2/2) T overflows from 2e154 here (from 1e154 at T = 4),
+        # and sigma sqrt(T) at 1.7e308 and T = 4; the limits are S0 and K e^-rT
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            c = black_scholes_price(contract(maturity=maturity), market(sigma=sigma))
+            p = black_scholes_price(contract(kind=PUT, maturity=maturity), market(sigma=sigma))
+        discounted_strike = 5.5 * math.exp(-0.05 * maturity)
+        forward_gap = 5.0 - discounted_strike
+        assert abs(c - p - forward_gap) <= 1e-12
+        assert max(forward_gap, 0.0) <= c <= 5.0
+        assert max(-forward_gap, 0.0) <= p <= discounted_strike
+        assert (c, p) == (5.0, discounted_strike)
 
     def test_monotone_in_spot_and_maturity(self):
         spots = [3.0, 4.0, 5.0, 6.0, 7.0]
