@@ -284,8 +284,6 @@ def _cell(value: Any) -> str:
     """A CSV cell; a float keeps 17 significant digits, so it reads back as itself."""
     if value is None:
         return ""
-    if isinstance(value, bool):
-        return str(value).lower()
     if isinstance(value, float):
         return format(value, ".17g")
     return str(value)

@@ -1,7 +1,7 @@
 """Crank-Nicolson baseline solver.
 
 Unconditionally stable trapezoidal time stepping with the classical central
-stencil: the shared march with time weight 1/2 and no convection fitting.
+stencil: the shared march's Crank-Nicolson step, with no convection fitting.
 The tridiagonal matrix is the same at every level, so LAPACK factors it once
 and each level costs one back substitution.
 """
@@ -29,8 +29,8 @@ __all__ = [
 ]
 
 
-# the classical stencil (theta = 1) at the trapezoidal time weight w = 1/2
-_cn_grid = partial(_solve_grid, thetas=1.0, time_weight=0.5)
+# the classical stencil (theta = 1) with the Crank-Nicolson step
+_cn_grid = partial(_solve_grid, thetas=1.0, implicit=True)
 
 
 def solve_crank_nicolson(

@@ -179,7 +179,7 @@ def solve_mcfdm(
         )
     thetas = _theta_values(market, disc.nodes()[1:-1], disc.ds, config)
     price, levels, oscillation = _solve_grid(
-        contract, market, disc, thetas, 0.0, keep_surface=keep_surface
+        contract, market, disc, thetas, implicit=False, keep_surface=keep_surface
     )
     extra = {
         "theta_scale": config.scaling,

@@ -257,19 +257,19 @@ def _march(
     bands: tuple[np.ndarray, np.ndarray, np.ndarray],
     boundaries: tuple[np.ndarray, np.ndarray],
     dt: float,
-    time_weight: float,
     *,
+    implicit: bool,
     keep_surface: bool,
 ) -> tuple[np.ndarray, np.ndarray | None, bool]:
-    """March (I - w dt L) v_n = (I + (1 - w) dt L) v_{n-1} from ``level``.
+    """March from ``level``: the explicit step v_n = (I + dt L) v_{n-1}, or,
+    when ``implicit``, Crank-Nicolson's (I - dt/2 L) v_n = (I + dt/2 L) v_{n-1}.
 
-    ``bands`` are the operator bands from :func:`_operator`, ``boundaries``
-    the Dirichlet values from :func:`_boundaries` (one entry per step), and
-    ``w`` is the time weight: 0 is the explicit step, 1/2 is Crank-Nicolson;
-    any other weight is rejected. Steps write blocks of ``_MARCH_ROWS``
-    levels in place into a ring. An explicit step is five ufunc calls with
-    positional outputs (numpy's per-call overhead, not arithmetic, dominates
-    at a few hundred nodes). At w = 1/2 the explicit matrix I + dt/2 L is
+    ``bands`` are the operator bands from :func:`_operator` and
+    ``boundaries`` the Dirichlet values from :func:`_boundaries` (one entry
+    per step). Steps write blocks of ``_MARCH_ROWS`` levels in place into a
+    ring. An explicit step is five ufunc calls with positional outputs
+    (numpy's per-call overhead, not arithmetic, dominates at a few hundred
+    nodes). In the Crank-Nicolson step the explicit matrix I + dt/2 L is
     2I - A for the implicit matrix A = I - dt/2 L, so the step
     A^-1 ((2I - A) u + beta) = A^-1 (2u + beta) - u needs no explicit half:
     A is factored once, and each step doubles u, adds the boundary terms
@@ -304,14 +304,11 @@ def _march(
     whenever r <= sigma^2, and for calls up to r = 2 sigma^2, whose one
     negative weight, node 1's lower one, multiplies the zero column at
     S = 0. The levels do not depend on the scan, so they keep their bits
-    either way. An implicit step is not a weighted average
-    of that neighborhood, so it skips the check and the flag reads False.
+    either way. A Crank-Nicolson step is not a weighted average of that
+    neighborhood, so it skips the check and the flag reads False.
     """
-    if time_weight not in (0.0, 0.5):
-        raise ValidationError(f"time weight must be 0 or 0.5, got {time_weight!r}")
     lower, center, upper = bands
     bc_lower, bc_upper = boundaries
-    implicit = time_weight == 0.5
     n_steps = bc_lower.size
     width = level.size
     ring = np.empty((min(_MARCH_ROWS, n_steps) + 1, width))
@@ -413,20 +410,20 @@ def _solve_grid(
     market: MarketParams,
     disc: Discretization,
     thetas: np.ndarray | float,
-    time_weight: float,
     *,
+    implicit: bool,
     keep_surface: bool,
 ) -> tuple[float, np.ndarray | None, bool]:
     """Price at the spot, surface (``None`` unless ``keep_surface``) and
     oscillation flag of the payoff marched on ``disc``, with ``thetas`` as in
-    :func:`_operator` and ``time_weight`` as in :func:`_march`."""
+    :func:`_operator` and ``implicit`` as in :func:`_march`."""
     s = disc.nodes()
     final, levels, oscillation = _march(
         payoff(contract, s),
         _operator(market, s[1:-1], thetas, disc.ds),
         _boundaries(contract, market, disc),
         disc.dt,
-        time_weight,
+        implicit=implicit,
         keep_surface=keep_surface,
     )
     return float(np.interp(contract.spot, s, final)), levels, oscillation
@@ -460,8 +457,8 @@ def build_grid(
             ds = contract.spot / node
         grid_max = ds * n_space
     else:
-        grid_max = float(s_max)
-        if not math.isfinite(grid_max) or grid_max <= anchor:
+        grid_max = _real("s_max", s_max)
+        if grid_max <= anchor:
             raise ValidationError(
                 f"s_max must exceed max(spot, strike)={anchor}, got {s_max}"
             )

@@ -54,14 +54,16 @@ def black_scholes_price(
     s0, k, t = contract.spot, contract.strike, contract.maturity
     r, sigma = market.r, market.sigma
     vol = sigma * math.sqrt(t)
-    drift = math.log(s0 / k) + (r + 0.5 * sigma * sigma) * t
+    # ln S0 - ln K only where S0 / K underflows, so every other ratio keeps its bits
+    log_moneyness = math.log(s0 / k) if s0 / k > 0.0 else math.log(s0) - math.log(k)
+    drift = log_moneyness + (r + 0.5 * sigma * sigma) * t
     if math.isfinite(drift) and math.isfinite(vol):
         d1 = drift / vol if vol > 0.0 else math.copysign(math.inf, drift)
         d2 = d1 - vol
     else:
         # (r + sigma^2/2) T or sigma sqrt(T) overflowed: divided term by term,
         # d1 and d2 stay defined, and as sigma -> inf call S0 and put K e^-rT
-        centre = math.log(s0 / k) / vol + r / sigma * math.sqrt(t)
+        centre = log_moneyness / vol + r / sigma * math.sqrt(t)
         d1, d2 = centre + 0.5 * vol, centre - 0.5 * vol
     # N is exactly 0 or 1 beyond ±_Z_CUTOFF, so clamping keeps every finite
     # d's price and gives sigma sqrt(T) -> 0 its limit max(±(S0 - K e^-rT), 0)
@@ -109,6 +111,9 @@ def risk_neutral_integral_price(
     substituting ``S_T = S0 exp((r - sigma^2/2) T + sigma sqrt(T) z)`` so the
     integrand is smooth in the standard normal variable z on one side of the
     strike. Serves as an independent check of :func:`black_scholes_price`.
+    Raises :class:`QuadratureError` where QUADPACK does not converge, and for
+    a call at sigma sqrt(T) above about 1,300: there the rounding of its
+    asset leg near the peak, u sigma^2 T / 2 (u = 2^-53), passes the tolerance.
     """
     # imported here so that ``import mcfdm`` does not pay for scipy.integrate
     from scipy.integrate import quad
@@ -117,7 +122,10 @@ def risk_neutral_integral_price(
     r, sigma = market.r, market.sigma
     mu = (r - 0.5 * sigma * sigma) * t
     vol = sigma * math.sqrt(t)
-    kink = math.log(k / s0) - mu
+    # the call's asset leg cancels terms of size vol^2 / 2 near its peak z = vol
+    if contract.kind is OptionKind.CALL and not vol * vol * 2.0**-54 <= _TOLERANCE:
+        raise QuadratureError(f"call integrand is noise at sigma sqrt(T)={vol!r}", math.inf)
+    kink = (math.log(k / s0) if k / s0 > 0.0 else math.log(k) - math.log(s0)) - mu
     # as sigma sqrt(T) -> 0 the kink moves to ±inf, and the integral tends to
     # the discounted forward payoff, the limit black_scholes_price takes
     z_kink = kink / vol if vol > 0.0 else math.copysign(math.inf, kink)

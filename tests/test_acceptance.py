@@ -159,7 +159,7 @@ def test_criterion_4_theta_identities():
         _operator(MARKET, nodes, np.zeros_like(nodes), disc.ds),
         _boundaries(contract, MARKET, disc),
         disc.dt,
-        0.0,
+        implicit=False,
         keep_surface=True,
     )
     zeroed = solve_mcfdm(

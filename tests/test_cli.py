@@ -371,6 +371,19 @@ class TestRunConvergence:
         with pytest.raises(ValidationError, match=message):
             run_convergence(grids, small_job(method="CFDM", n_time=400))
 
+    def test_failed_rung_is_skipped_by_the_next_order(self):
+        # 100:100 is past the stability bound; the order of 200:3000 is then
+        # taken against 50:400, the last rung that priced
+        grids = [(50, 400), (100, 100), (200, 3000)]
+        first, failed, third = run_convergence(grids, JobSpec(method="MCFDM")).rows
+        assert failed.error_kind == "stability"
+        assert "observed_order" not in failed.metadata
+        expected = math.log(first.abs_error / third.abs_error) / math.log(
+            first.metadata["ds"] / third.metadata["ds"]
+        )
+        assert third.metadata["observed_order"] == expected
+        assert expected == pytest.approx(4.55, abs=0.01)
+
     def test_repeated_grid_gets_no_order_estimate(self):
         job = small_job(method="CFDM", n_time=200, maturity=0.25)
         report = run_convergence([(50, 200), (50, 200)], job)
@@ -932,6 +945,31 @@ class TestMain:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err.startswith("error: s_max must be finite and > 0")
+
+    def test_convergence_with_an_unstable_rung_exits_three(self, capsys):
+        argv = [
+            "convergence", "--method", "mcfdm",
+            "--grid", "50:400", "--grid", "100:100", "--grid", "200:3000",
+        ]
+        assert main(argv) == 3
+        assert "ERROR[stability]" in capsys.readouterr().out
+
+    def test_s_max_flag_that_is_not_a_number_exits_one(self, monkeypatch, capsys):
+        for engine in _ENGINES:
+            monkeypatch.setattr(f"mcfdm.cli.{engine}", _fail_if_called)
+        assert main(["price", "--s-max", "abc"]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "--s-max must be 'auto' or a number, got 'abc'" in captured.err
+
+    def test_extreme_moneyness_prints_every_row(self, capsys):
+        # S0 / K underflows to 0: both grids overflow, the closed form prices
+        argv = ["price", "--spot", "1e-300", "--strike", "1e300", "--format", "json"]
+        assert main(argv) == 2
+        rows = _strict_json(capsys.readouterr().out)["rows"]
+        assert [r["method"] for r in rows] == ["MCFDM", "CFDM", "MonteCarlo", "Exact"]
+        assert [r["error_kind"] for r in rows] == ["solver", "solver", None, None]
+        assert rows[3]["price"] == 0.0
 
     def test_bad_grid_token_exits_one(self, capsys):
         assert main(["convergence", "--grid", "bogus"]) == 1

@@ -39,13 +39,13 @@ def contract(kind=CALL, strike=7.5, maturity=1.0, spot=7.0):
 
 
 def implicit_step(level, bands, dt, boundaries=(0.0, 0.0)):
-    """One Crank-Nicolson step (time weight 1/2) of the shared march."""
+    """One Crank-Nicolson step (``implicit=True``) of the shared march."""
     out, _, _ = _march(
         np.asarray(level, dtype=float),
         tuple(np.asarray(band, dtype=float) for band in bands),
         (np.array([boundaries[0]]), np.array([boundaries[1]])),
         dt,
-        0.5,
+        implicit=True,
         keep_surface=False,
     )
     return out
@@ -243,7 +243,7 @@ class TestSolveCrankNicolson:
                 _boundaries(c, m, disc),
                 disc.dt,
             )
-            final, _, _ = _march(*args, 0.5, keep_surface=False)
+            final, _, _ = _march(*args, implicit=True, keep_surface=False)
             reference = two_band_trapezoid(*args)
             gap = np.abs(final - reference).max()
             level_gap = max(level_gap, gap / np.abs(reference).max())
@@ -312,7 +312,7 @@ class TestSolveCrankNicolson:
     @settings(max_examples=40, deadline=None)
     def test_agrees_with_unit_theta_mcfdm(self, kind, spot, strike, maturity, r):
         # both are the shared march on the central stencil; they differ only
-        # in the time weight, so their gap is the time discretization error
+        # in the time step, so their gap is the time discretization error
         c = contract(kind=kind, strike=strike, maturity=maturity, spot=spot)
         m = MarketParams(r=r, sigma=0.25)
         disc = build_grid(c)

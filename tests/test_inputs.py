@@ -65,6 +65,7 @@ NUMBER_FIELDS = [
     ("sample_terminal_price", "s0", lambda v: sample(s0=v)),
     ("sample_terminal_price", "t_total", lambda v: sample(t_total=v)),
     ("JobSpec", "s_max", lambda v: JobSpec(s_max=v)),
+    ("build_grid", "s_max", lambda v: build_grid(contract(), s_max=v)),
 ]
 NOT_A_NUMBER = [True, np.bool_(True), "7", None, math.nan, math.inf, -math.inf]
 
@@ -85,6 +86,10 @@ class TestHugeIntegers:
     def test_contract_names_the_field(self):
         with pytest.raises(ValidationError, match=r"\bstrike\b"):
             OptionContract(OptionKind.CALL, 10**400, 1.0, 7.0)
+
+    def test_built_grid_names_the_field(self):
+        with pytest.raises(ValidationError, match=r"\bs_max\b"):
+            build_grid(contract(), s_max=10**400)
 
     def test_table_names_the_field_before_any_row_runs(self):
         with pytest.raises(ValidationError, match=r"\bstrike\b"):

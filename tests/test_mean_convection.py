@@ -184,7 +184,7 @@ class TestConvectionFluxDifference:
 
 
 class TestExplicitStep:
-    """One explicit step (time weight 0) of the march both engines share."""
+    """One explicit step (``implicit=False``) of the march both engines share."""
 
     def toy_disc(self, dt=0.01, n_time=100):
         return Discretization(s_max=10.0, n_space=10, n_time=n_time, ds=1.0, dt=dt)
@@ -194,7 +194,7 @@ class TestExplicitStep:
         thetas = _theta_values(market(), s[1:-1], 1.0, ThetaConfig())
         bands = _operator(market(), s[1:-1], thetas, 1.0)
         boundaries = (np.array([level[0]]), np.array([level[-1]]))
-        out, _, _ = _march(level, bands, boundaries, dt, 0.0, keep_surface=False)
+        out, _, _ = _march(level, bands, boundaries, dt, implicit=False, keep_surface=False)
         return out
 
     def test_hand_computed_stencil(self):
@@ -396,7 +396,7 @@ class TestSolveMcfdm:
             bands,
             _boundaries(c, market(), disc),
             disc.dt,
-            0.0,
+            implicit=False,
             keep_surface=True,
         )
         assert np.abs(scaled.surface - disabled).max() <= 1e-14

@@ -146,7 +146,7 @@ class TestBoundaryValue:
         )
 
 
-def reference_march(level, bands, boundaries, dt, time_weight, *, keep_surface):
+def reference_march(level, bands, boundaries, dt, *, implicit, keep_surface):
     """The march one level at a time, each step in a new array and scanned
     on its own: the loop the ring march replaced, kept as its reference.
     A Crank-Nicolson step is A^-1 (2u + beta) - u, with A = I - dt/2 L and
@@ -158,7 +158,6 @@ def reference_march(level, bands, boundaries, dt, time_weight, *, keep_surface):
 
     lower, center, upper = bands
     bc_lower, bc_upper = boundaries
-    implicit = time_weight == 0.5
     scale = None
     if implicit:
         i_lower = 0.5 * dt * lower
@@ -230,9 +229,9 @@ def march_inputs(
     return payoff(contract, s), bands, _boundaries(contract, market, disc), disc.dt
 
 
-def assert_marches_agree(*args, time_weight, keep_surface):
-    ring = _march(*args, time_weight, keep_surface=keep_surface)
-    reference = reference_march(*args, time_weight, keep_surface=keep_surface)
+def assert_marches_agree(*args, implicit, keep_surface):
+    ring = _march(*args, implicit=implicit, keep_surface=keep_surface)
+    reference = reference_march(*args, implicit=implicit, keep_surface=keep_surface)
     assert np.array_equal(ring[0], reference[0], equal_nan=True)
     if keep_surface:
         assert np.array_equal(ring[1], reference[1], equal_nan=True)
@@ -246,7 +245,7 @@ class TestMarch:
     """The ring march gives the bits and the flag of a level-by-level march."""
 
     @pytest.mark.parametrize("keep_surface", [False, True])
-    @pytest.mark.parametrize("time_weight", [0.0, 0.5])
+    @pytest.mark.parametrize("implicit", [False, True])
     @pytest.mark.parametrize(
         "n_steps",
         [
@@ -258,12 +257,12 @@ class TestMarch:
             1000,
         ],
     )
-    def test_ring_equals_the_reference_loop(self, n_steps, time_weight, keep_surface):
+    def test_ring_equals_the_reference_loop(self, n_steps, implicit, keep_surface):
         level, bands, boundaries, dt = march_inputs(n_steps)
         before = level.copy()
         assert_marches_agree(
             level, bands, boundaries, dt,
-            time_weight=time_weight, keep_surface=keep_surface,
+            implicit=implicit, keep_surface=keep_surface,
         )
         np.testing.assert_array_equal(level, before)
 
@@ -280,14 +279,8 @@ class TestMarch:
         )
         assert (bands[0][1:] < 0.0).any() == (r / sigma**2 >= 2.0)
         assert_marches_agree(
-            level, bands, boundaries, dt, time_weight=0.5, keep_surface=True
+            level, bands, boundaries, dt, implicit=True, keep_surface=True
         )
-
-    @pytest.mark.parametrize("time_weight", [0.25, 1.0])
-    def test_weight_other_than_explicit_or_trapezoidal_rejected(self, time_weight):
-        # the one-solve Crank-Nicolson step uses B = 2I - A, which holds only at w = 1/2
-        with pytest.raises(ValidationError, match="time weight must be 0 or 0.5"):
-            _march(*march_inputs(4), time_weight, keep_surface=False)
 
     def test_march_that_turns_to_nan_inside_a_block(self):
         # k = 30 at 400 nodes is far past the stability bound: the march
@@ -295,9 +288,9 @@ class TestMarch:
         # or last
         args = march_inputs(1000, kind=CALL, strike=5.5, spot=5.0, n_space=400, k=30.0)
         with np.errstate(over="ignore", invalid="ignore"):
-            assert_marches_agree(*args, time_weight=0.0, keep_surface=False)
+            assert_marches_agree(*args, implicit=False, keep_surface=False)
             final, levels, oscillation = assert_marches_agree(
-                *args, time_weight=0.0, keep_surface=True
+                *args, implicit=False, keep_surface=True
             )
         first_nan = int(np.flatnonzero(np.isnan(levels).any(axis=1))[0])
         assert 0 < (first_nan - 1) % model._MARCH_ROWS < model._MARCH_ROWS - 1
@@ -316,7 +309,7 @@ class TestMarch:
         boundaries = (bc_lower, np.ones(model._MARCH_ROWS))
         with np.errstate(invalid="ignore"):
             final, _, oscillation = assert_marches_agree(
-                np.ones(n), bands, boundaries, 1e-3, time_weight=0.0, keep_surface=False
+                np.ones(n), bands, boundaries, 1e-3, implicit=False, keep_surface=False
             )
         assert np.isnan(final).any()
         assert oscillation
@@ -334,7 +327,7 @@ class TestMarch:
             bands = _operator(market, s[1:-1], thetas, disc.ds)
             final, _, oscillation = assert_marches_agree(
                 payoff(contract, s), bands, _boundaries(contract, market, disc),
-                disc.dt, time_weight=0.0, keep_surface=True,
+                disc.dt, implicit=False, keep_surface=True,
             )
         assert np.isnan(final[1:-1]).all()
         assert not oscillation
@@ -351,7 +344,7 @@ class TestMarch:
         if rising == "upper":
             boundaries = boundaries[::-1]
         _, _, oscillation = assert_marches_agree(
-            np.zeros(n), bands, boundaries, 1e-3, time_weight=0.0, keep_surface=False
+            np.zeros(n), bands, boundaries, 1e-3, implicit=False, keep_surface=False
         )
         assert not oscillation
 
@@ -364,7 +357,7 @@ class TestMarch:
         bands = (np.zeros(n - 2), center, np.zeros(n - 2))
         boundaries = (np.ones(n_steps), np.ones(n_steps))
         final, _, oscillation = assert_marches_agree(
-            np.ones(n), bands, boundaries, 1e-3, time_weight=0.0, keep_surface=False
+            np.ones(n), bands, boundaries, 1e-3, implicit=False, keep_surface=False
         )
         grown = np.flatnonzero(final > 1.0)
         assert grown.tolist() == [np.arange(n)[1:-1][node]]
@@ -400,7 +393,7 @@ class TestMarch:
         plateau = np.full(n_steps, 1e9)
         _, _, oscillation = assert_marches_agree(
             np.full(s.size, 1e9), bands, (plateau, plateau), disc.dt,
-            time_weight=0.0, keep_surface=False,
+            implicit=False, keep_surface=False,
         )
         assert oscillation
 
@@ -453,7 +446,7 @@ class TestScanSkip:
         negative = np.full(100, -1e6)
         args = (np.full(level.size, -1e6), bands, (negative, negative), dt)
         assert scan_can_fire(*args)
-        assert _march(*args, 0.0, keep_surface=False)[2]
+        assert _march(*args, implicit=False, keep_surface=False)[2]
 
     @pytest.mark.parametrize("value", [math.nan, math.inf])
     @pytest.mark.parametrize("where", ["level", "lower boundary", "upper boundary", "band"])
@@ -521,7 +514,7 @@ class TestScanSkip:
             return verdicts[-1]
 
         monkeypatch.setattr(model, "_scan_can_fire", spy)
-        _, _, oscillation = _march(*march_inputs(1000), 0.0, keep_surface=False)
+        _, _, oscillation = _march(*march_inputs(1000), implicit=False, keep_surface=False)
         assert verdicts == [False]
         assert oscillation is False
 
@@ -558,7 +551,7 @@ class TestScanSkip:
         args = (level, bands, tuple(columns), dt)
         scan = scan_can_fire(*args)
         # the ring's flag is reference_march's, which scans every step
-        _, _, oscillation = assert_marches_agree(*args, time_weight=0.0, keep_surface=True)
+        _, _, oscillation = assert_marches_agree(*args, implicit=False, keep_surface=True)
         event(f"scan {scan}, flag {oscillation}")
         assert scan or not oscillation
 

@@ -187,6 +187,21 @@ class TestRiskNeutralIntegralPrice:
         m = MarketParams(r=0.0, sigma=0.1)
         assert risk_neutral_integral_price(c, m) == pytest.approx(0.0, abs=1e-12)
 
+    @pytest.mark.parametrize("kind", [CALL, PUT])
+    @pytest.mark.parametrize("sigma", [1e3, 1e5, 1e10, 1e150, 2e154, 1e300])
+    def test_huge_volatility_matches_the_closed_form_or_raises(self, sigma, kind):
+        # near its peak the call's asset leg cancels terms of size sigma^2 T / 2,
+        # which once returned 0 for a price of 5; the put never meets the peak
+        c = contract(kind=kind)
+        m = market(sigma=sigma)
+        expected = black_scholes_price(c, m)
+        try:
+            value = risk_neutral_integral_price(c, m)
+        except QuadratureError:
+            assert kind is CALL
+        else:
+            assert value == pytest.approx(expected, rel=0.0, abs=1e-9 * max(c.spot, c.strike))
+
     def test_package_import_leaves_quadrature_unloaded(self, fresh_python):
         # scipy.integrate serves only this oracle, so it loads on first call
         proc = fresh_python(
@@ -194,6 +209,25 @@ class TestRiskNeutralIntegralPrice:
         )
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout.strip() == "False"
+
+
+class TestExtremeMoneyness:
+    # S0 / K underflows to 0 or overflows to inf; the log-moneyness is finite
+    @pytest.mark.parametrize("kind", [CALL, PUT])
+    @pytest.mark.parametrize("spot, strike", [(1e-300, 1e300), (1e300, 1e-300)])
+    def test_closed_form_and_quadrature_agree_within_the_bounds(self, spot, strike, kind):
+        c = contract(kind=kind, strike=strike, spot=spot)
+        m = market()
+        df_strike = strike * math.exp(-m.r * c.maturity)
+        if kind is CALL:
+            low, high = max(spot - df_strike, 0.0), spot
+        else:
+            low, high = max(df_strike - spot, 0.0), df_strike
+        closed = black_scholes_price(c, m)
+        integral = risk_neutral_integral_price(c, m)
+        assert low <= closed <= high
+        assert low <= integral <= high
+        assert integral == pytest.approx(closed, rel=1e-9)
 
 
 class TestOracleOutsideTheClock:
