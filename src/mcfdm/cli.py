@@ -18,7 +18,6 @@ import json
 import logging
 import math
 import os
-import statistics
 import sys
 from dataclasses import asdict, dataclass, field, fields, replace
 from datetime import datetime, timezone
@@ -391,8 +390,10 @@ def _solve_row(row: _Row, repeats: int | None = None) -> ReportRow:
         if "n_time_steps" in meta:
             meta["mc_steps"] = meta.pop("n_time_steps")
         if repeats is not None:
-            elapsed = statistics.median(
-                row.solve().elapsed_seconds for _ in range(repeats)
+            # the middle time or the mean of the two middle ones; numpy is
+            # loaded already, and statistics would load fractions and decimal
+            elapsed = float(
+                np.median([row.solve().elapsed_seconds for _ in range(repeats)])
             )
             meta["repeats"] = repeats
         # price, abs_error, elapsed_seconds and metadata

@@ -112,7 +112,10 @@ def _block_stats(
     config: McConfig,
     block_index: int,
     m: int,
-) -> tuple[float, float]:
+) -> tuple[float, float, int]:
+    """The sum of the block's payoffs, the sum of their squares scaled by
+    2^(-2e) and e, which is 0 unless a payoff above 2^500 would let the
+    squares overflow."""
     # loaded here so that importing the package does not pay for
     # scipy.special; price_monte_carlo loads it before its clock starts
     from scipy.special import ndtri
@@ -134,7 +137,10 @@ def _block_stats(
         ndtri(u, out=u)
         _advance(st, u, market, dt)
     sample = payoff(contract, st)
-    return float(sample.sum()), float((sample * sample).sum())
+    top = float(sample.max())
+    scale = math.frexp(top)[1] if top > 2.0**500 else 0
+    scaled = np.ldexp(sample, -scale)
+    return float(sample.sum()), float((scaled * scaled).sum()), scale
 
 
 def _usable_cpus() -> int:
@@ -183,23 +189,27 @@ def price_monte_carlo(
         # not inherit, so each task runs under the caller's
         err = np.geterr()
 
-        def block(bm: tuple[int, int]) -> tuple[float, float]:
+        def block(bm: tuple[int, int]) -> tuple[float, float, int]:
             with np.errstate(**err):
                 return _block_stats(contract, market, config, *bm)
 
         with ThreadPoolExecutor(max_workers=n_workers) as pool:
             stats = list(pool.map(block, sizes))
+    # the sums of squares are reduced in units of 2^(2 * scale), the largest
+    # block's; where every scale is 0 the arithmetic is unscaled
+    scale = max(block_scale for _, _, block_scale in stats)
     total = 0.0
     total_sq = 0.0
-    for block_sum, block_sq in stats:
+    for block_sum, block_sq, block_scale in stats:
         total += block_sum
-        total_sq += block_sq
+        total_sq += math.ldexp(block_sq, 2 * (block_scale - scale))
     mean = total / n
     discount = math.exp(-market.r * contract.maturity)
     price = discount * mean
     if n > 1:
-        variance = max((total_sq - n * mean * mean) / (n - 1), 0.0)
-        se = discount * math.sqrt(variance / n)
+        scaled_mean = math.ldexp(mean, -scale)
+        variance = max((total_sq - n * scaled_mean * scaled_mean) / (n - 1), 0.0)
+        se = discount * math.ldexp(math.sqrt(variance / n), scale)
     else:
         se = None
     extra = {

@@ -8,6 +8,7 @@ quadrature against the lognormal terminal density.
 from __future__ import annotations
 
 import math
+import sys
 import time
 
 from .errors import QuadratureError, ValidationError
@@ -41,6 +42,23 @@ def std_normal_cdf(x: float) -> float:
     return 0.5 * math.erfc(-x / _SQRT2)
 
 
+def _log_ratio(a: float, b: float) -> float:
+    """ln(a / b), taken as ln a - ln b where a / b overflows or loses bits
+    to underflow, so every ratio that is a normal double keeps its bits."""
+    if sys.float_info.min <= a / b < math.inf:
+        return math.log(a / b)
+    return math.log(a) - math.log(b)
+
+
+def _discounted(amount: float, r: float, t: float) -> float:
+    """``amount`` e^(-rT), taken as exp(ln amount - rT) where e^(-rT) alone
+    is subnormal or 0 but the product need not be."""
+    discount = math.exp(-r * t)
+    if discount >= sys.float_info.min or amount <= 0.0:
+        return amount * discount
+    return math.exp(math.log(amount) - r * t)
+
+
 def black_scholes_price(
     contract: OptionContract,
     market: MarketParams,
@@ -54,8 +72,7 @@ def black_scholes_price(
     s0, k, t = contract.spot, contract.strike, contract.maturity
     r, sigma = market.r, market.sigma
     vol = sigma * math.sqrt(t)
-    # ln S0 - ln K only where S0 / K underflows, so every other ratio keeps its bits
-    log_moneyness = math.log(s0 / k) if s0 / k > 0.0 else math.log(s0) - math.log(k)
+    log_moneyness = _log_ratio(s0, k)
     drift = log_moneyness + (r + 0.5 * sigma * sigma) * t
     if math.isfinite(drift) and math.isfinite(vol):
         d1 = drift / vol if vol > 0.0 else math.copysign(math.inf, drift)
@@ -68,7 +85,7 @@ def black_scholes_price(
     # N is exactly 0 or 1 beyond ±_Z_CUTOFF, so clamping keeps every finite
     # d's price and gives sigma sqrt(T) -> 0 its limit max(±(S0 - K e^-rT), 0)
     d1, d2 = (min(max(d, -_Z_CUTOFF), _Z_CUTOFF) for d in (d1, d2))
-    df_strike = k * math.exp(-r * t)
+    df_strike = _discounted(k, r, t)
     if contract.kind is OptionKind.CALL:
         return s0 * std_normal_cdf(d1) - df_strike * std_normal_cdf(d2)
     return df_strike * std_normal_cdf(-d2) - s0 * std_normal_cdf(-d1)
@@ -111,8 +128,9 @@ def risk_neutral_integral_price(
     substituting ``S_T = S0 exp((r - sigma^2/2) T + sigma sqrt(T) z)`` so the
     integrand is smooth in the standard normal variable z on one side of the
     strike. Serves as an independent check of :func:`black_scholes_price`.
-    Raises :class:`QuadratureError` where QUADPACK does not converge, and for
-    a call at sigma sqrt(T) above about 1,300: there the rounding of its
+    Raises :class:`QuadratureError` where QUADPACK does not converge, where
+    sigma sqrt(T), a leg of the integrand or the integral is not finite, and
+    for a call at sigma sqrt(T) above about 1,300: there the rounding of its
     asset leg near the peak, u sigma^2 T / 2 (u = 2^-53), passes the tolerance.
     """
     # imported here so that ``import mcfdm`` does not pay for scipy.integrate
@@ -122,10 +140,12 @@ def risk_neutral_integral_price(
     r, sigma = market.r, market.sigma
     mu = (r - 0.5 * sigma * sigma) * t
     vol = sigma * math.sqrt(t)
+    if not math.isfinite(vol):
+        raise QuadratureError(f"no integration window at sigma sqrt(T)={vol!r}", math.inf)
     # the call's asset leg cancels terms of size vol^2 / 2 near its peak z = vol
     if contract.kind is OptionKind.CALL and not vol * vol * 2.0**-54 <= _TOLERANCE:
         raise QuadratureError(f"call integrand is noise at sigma sqrt(T)={vol!r}", math.inf)
-    kink = (math.log(k / s0) if k / s0 > 0.0 else math.log(k) - math.log(s0)) - mu
+    kink = _log_ratio(k, s0) - mu
     # as sigma sqrt(T) -> 0 the kink moves to ±inf, and the integral tends to
     # the discounted forward payoff, the limit black_scholes_price takes
     z_kink = kink / vol if vol > 0.0 else math.copysign(math.inf, kink)
@@ -152,16 +172,21 @@ def risk_neutral_integral_price(
         return 0.0
     peaks = [p for p in (0.0, vol) if lo < p < hi]
 
-    value, abserr, info, *tail = quad(
-        integrand,
-        lo,
-        hi,
-        points=peaks or None,
-        epsabs=_TOLERANCE,
-        epsrel=_TOLERANCE,
-        limit=200,
-        full_output=True,
-    )
+    try:
+        value, abserr, info, *tail = quad(
+            integrand,
+            lo,
+            hi,
+            points=peaks or None,
+            epsabs=_TOLERANCE,
+            epsrel=_TOLERANCE,
+            limit=200,
+            full_output=True,
+        )
+    except OverflowError as exc:  # math.exp in a leg
+        raise QuadratureError(f"integrand overflowed: {exc}", math.inf) from exc
     if tail:  # QUADPACK appended a warning message
         raise QuadratureError(f"quadrature did not converge: {tail[0]}", abserr)
-    return math.exp(-r * t) * value
+    if not math.isfinite(value):
+        raise QuadratureError(f"integral is not finite: {value!r}", abserr)
+    return _discounted(value, r, t)

@@ -569,15 +569,25 @@ class TestWidePriceInText:
 
 
 class TestNonFiniteRowFields:
-    def test_monte_carlo_standard_error_that_is_nan_fails_its_row(self, capsys):
-        argv = [
-            "price", "--spot", "1e200", "--strike", "1e200", "--method", "mc",
-            "--paths", "2000", "--format", "json",
-        ]
-        assert main(argv) == 2
+    MC_ARGV = ["price", "--method", "mc", "--paths", "2000", "--format", "json"]
+
+    def test_monte_carlo_standard_error_that_is_nan_fails_its_row(self, monkeypatch, capsys):
+        result = PricingResult(
+            method=Method.MONTE_CARLO, price=0.4, abs_error=0.0, elapsed_seconds=0.0,
+            extra={"se": math.nan},
+        )
+        monkeypatch.setattr("mcfdm.cli.price_monte_carlo", lambda *args: result)
+        assert main(self.MC_ARGV) == 2
         (row,) = _strict_json(capsys.readouterr().out)["rows"]
         assert row["price"] is None and row["error_kind"] == "solver"
         assert row["error"] == "solver returned a non-finite se nan"
+
+    def test_monte_carlo_standard_error_of_huge_payoffs_is_finite(self, capsys):
+        # squared payoffs near 1e200 overflow, which once made the se NaN
+        assert main([*self.MC_ARGV, "--spot", "1e200", "--strike", "1e200"]) == 0
+        (row,) = _strict_json(capsys.readouterr().out)["rows"]
+        assert row["error"] is None
+        assert 0.0 < row["metadata"]["se"] < row["price"]
 
     @pytest.mark.parametrize(
         ("result", "message"),
@@ -971,6 +981,20 @@ class TestMain:
         assert [r["error_kind"] for r in rows] == ["solver", "solver", None, None]
         assert rows[3]["price"] == 0.0
 
+    def test_overflowing_moneyness_at_no_volatility_prints_every_row(self, capsys):
+        # S0 / K overflows and sigma sqrt(T) rounds to 0, where the closed
+        # form once divided by zero, failing the Exact and Monte Carlo rows
+        argv = [
+            "price", "--spot", "1e300", "--strike", "1e-300", "--rate", "0",
+            "--vol", "1e-320", "--maturity", "1e-12", "--format", "json",
+        ]
+        assert main(argv) == 2
+        rows = _strict_json(capsys.readouterr().out)["rows"]
+        assert [r["method"] for r in rows] == ["MCFDM", "CFDM", "MonteCarlo", "Exact"]
+        assert [r["error_kind"] for r in rows] == ["solver", "solver", None, None]
+        assert rows[2]["metadata"]["se"] == 0.0
+        assert rows[3]["price"] == 1e300
+
     def test_bad_grid_token_exits_one(self, capsys):
         assert main(["convergence", "--grid", "bogus"]) == 1
         capsys.readouterr()
@@ -1075,6 +1099,16 @@ wall = time.perf_counter() - start
 print(json.dumps([result.elapsed_seconds, wall]))
 """
 
+# runs in a fresh interpreter: which of the modules behind the standard
+# library's statistics a price call has loaded, and its exit code
+_PRICE_LOADS = """
+import contextlib, io, json, sys
+from mcfdm.cli import main
+with contextlib.redirect_stdout(io.StringIO()):
+    code = main(["price"])
+print(json.dumps([code, [m for m in ("statistics", "fractions", "decimal") if m in sys.modules]]))
+"""
+
 _SOLVES = {
     "MCFDM": "solve_mcfdm(contract, market, build_grid(contract))",
     "CFDM": "solve_crank_nicolson(contract, market, build_grid(contract))",
@@ -1097,6 +1131,13 @@ class TestColdStart:
         before, after = json.loads(proc.stdout)
         assert before == {"scipy.linalg": False, "scipy.special": False}
         assert after == {"scipy.linalg": linalg, "scipy.special": special}
+
+    def test_price_call_loads_no_statistics(self, fresh_python):
+        # statistics brings fractions and decimal along, about 0.6 MB of a
+        # cold call's peak memory, and numpy's median does its one job
+        proc = fresh_python("-c", _PRICE_LOADS)
+        assert proc.returncode == 0, proc.stderr
+        assert json.loads(proc.stdout) == [0, []]
 
     @pytest.mark.parametrize("method", ["CFDM", "MonteCarlo"])
     def test_first_call_times_the_solve_not_the_import(self, fresh_python, method):

@@ -275,6 +275,17 @@ class TestPriceMonteCarlo:
         result = price_monte_carlo(contract(), market(), McConfig(n_paths=1))
         assert result.extra["se"] is None
 
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_standard_error_of_huge_payoffs_scales_with_the_contract(self, workers):
+        # squares of payoffs near 1e200 overflow; the blocks' scaled sums of
+        # squares keep the se the unit contract gives, times 1e200
+        config = McConfig(n_paths=10_000, seed=9)
+        unit = price_monte_carlo(contract(), market(), config, n_workers=workers)
+        huge = price_monte_carlo(
+            contract(strike=7.5e200, spot=7e200), market(), config, n_workers=workers
+        )
+        assert huge.extra["se"] == pytest.approx(1e200 * unit.extra["se"], rel=1e-12)
+
     def test_discounted_mean_recovers_the_forward(self):
         # a strikeless call pays S_T, so the discounted estimate must sit on s0
         result = price_monte_carlo(

@@ -3,7 +3,7 @@ import time
 import warnings
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import mcfdm.oracle
@@ -228,6 +228,68 @@ class TestExtremeMoneyness:
         assert low <= closed <= high
         assert low <= integral <= high
         assert integral == pytest.approx(closed, rel=1e-9)
+
+
+def _decades(lo, hi):
+    return st.floats(lo, hi).map(lambda e: 10.0**e)
+
+
+# log-uniform across most of the double range, where S0 / K overflows,
+# e^-rT underflows and sigma sqrt(T) rounds to 0 or overflows
+EDGE_INPUTS = {
+    "kind": st.sampled_from([CALL, PUT]),
+    "spot": _decades(-300, 300),
+    "strike": _decades(-300, 300),
+    "maturity": _decades(-12, 17),
+    "sigma": _decades(-320, 300),
+    "r": st.one_of(st.sampled_from([0.0, 0.05]), _decades(-20, 1)),
+}
+
+
+def edge_case(kind, spot, strike, maturity, sigma, r):
+    """The contract, the market and the scale max(S0, K e^-rT) of its price."""
+    c = OptionContract(kind=kind, strike=strike, maturity=maturity, spot=spot)
+    df_strike = math.exp(math.log(strike) - r * maturity)
+    return c, MarketParams(r=r, sigma=sigma), df_strike, max(spot, df_strike)
+
+
+class TestFloatRangeEdges:
+    @given(**EDGE_INPUTS)
+    # S0 / K overflows with sigma sqrt(T) = 0, then with sigma sqrt(T) = inf
+    @example(kind=CALL, spot=1e300, strike=1e-300, maturity=1e-12, sigma=1e-320, r=0.0)
+    @example(kind=PUT, spot=1e300, strike=1e-300, maturity=1e17, sigma=1e300, r=0.0)
+    # S0 / K is subnormal, so its log was 0.2 off and the call priced below 0
+    @example(
+        kind=CALL, spot=9.156154305859823e-162, strike=2.260864376382897e162,
+        maturity=172348737827230.9, sigma=1.1358829561938399e-59, r=4.319685604110488e-12,
+    )
+    # e^-rT underflows where K e^-rT does not
+    @example(kind=PUT, spot=1.17e-146, strike=1.35e200, maturity=78.9, sigma=3.2e-311, r=10.0)
+    @settings(max_examples=500)
+    def test_closed_form_stays_within_the_no_arbitrage_bounds(self, **inputs):
+        c, m, df_strike, scale = edge_case(**inputs)
+        price = black_scholes_price(c, m)
+        if c.kind is CALL:
+            low, high = max(c.spot - df_strike, 0.0), c.spot
+        else:
+            low, high = max(df_strike - c.spot, 0.0), df_strike
+        assert low - 1e-12 * scale <= price <= high + 1e-12 * scale
+
+    @given(**EDGE_INPUTS)
+    # sigma sqrt(T) overflows (once 0.0 for a price of 7.5), a leg overflows
+    # (once a bare OverflowError), the integral overflows (once inf)
+    @example(kind=PUT, spot=7.0, strike=7.5, maturity=1e17, sigma=1e300, r=0.0)
+    @example(kind=CALL, spot=2.7e-29, strike=7.3e35, maturity=6.3e14, sigma=5e-32, r=10.0)
+    @example(kind=CALL, spot=3.8e298, strike=8.5e-261, maturity=25.0, sigma=0.25, r=10.0)
+    @settings(max_examples=200, deadline=None)
+    def test_quadrature_agrees_with_the_closed_form_or_raises(self, **inputs):
+        c, m, _, scale = edge_case(**inputs)
+        try:
+            value = risk_neutral_integral_price(c, m)
+        except QuadratureError:
+            return
+        expected = black_scholes_price(c, m)
+        assert abs(value - expected) <= max(1e-9 * scale, 1e-9)
 
 
 class TestOracleOutsideTheClock:
