@@ -38,6 +38,7 @@ from .model import (
     OptionContract,
     OptionKind,
     PricingResult,
+    _check_domain,
     _count,
     _real,
     build_grid,
@@ -332,11 +333,13 @@ def _planned(method: str, job: JobSpec) -> _Row:
     """The row of ``job`` under ``method``, its inputs built and its solve ready.
 
     Building the inputs checks them: every row builds its market, θ config
-    and contract, then an MCFDM or CFDM row its grid, a Monte Carlo row its config.
+    and contract and checks their domain, then an MCFDM or CFDM row its grid,
+    a Monte Carlo row its config.
     """
     market = MarketParams(job.rate, job.vol)
     theta = ThetaConfig(job.theta_scale, job.theta_mode == "normalized", AlphaProfile(job.alpha))
     c = OptionContract(OptionKind(job.kind), job.strike, job.maturity, job.spot)
+    _check_domain(c, market)
     disc = None
     if method in ("MCFDM", "CFDM"):
         disc = build_grid(c, job.n_space, job.n_time, s_max=job.s_max)
@@ -399,8 +402,7 @@ def _solve_row(row: _Row, repeats: int | None = None) -> ReportRow:
         # price, abs_error, elapsed_seconds and metadata
         solved = (result.price, result.abs_error, elapsed, meta)
     except (McfdmError, ArithmeticError) as exc:
-        # an ArithmeticError is an engine's Python-float arithmetic
-        # overflowing, as ds**2 does on a grid bound near 1e200
+        # an ArithmeticError is an engine's Python-float arithmetic overflowing
         error = str(exc) if isinstance(exc, McfdmError) else f"{type(exc).__name__}: {exc}"
         error_kind = _error_kind(exc)
         solved = (None, None, None, {})

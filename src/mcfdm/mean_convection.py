@@ -26,6 +26,7 @@ from .model import (
     Method,
     OptionContract,
     PricingResult,
+    _check_domain,
     _real,
     _solve_grid,
 )
@@ -163,6 +164,8 @@ def solve_mcfdm(
         node exceeds the maximum of its previous-level neighborhood by more
         than ``OSCILLATION_TOLERANCE`` in a single step).
     """
+    # before the stability bound, whose arithmetic needs the domain
+    _check_domain(contract, market)
     t_start = time.perf_counter()
     dt_max = max_stable_dt(market, disc, config)
     if disc.dt > dt_max:

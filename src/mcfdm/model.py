@@ -150,6 +150,23 @@ class PricingResult:
             )
 
 
+def _check_domain(contract: OptionContract, market: MarketParams) -> None:
+    """Raise a ValidationError naming the quantity outside the priced domain:
+    spot and strike in [1e-100, 1e100], maturity >= 1e-100 and rT + 8.3
+    sigma sqrt(T) <= 100, 8.3 bounding Monte Carlo's clamped normal draws.
+    README's "Priced domain" says why each bound holds."""
+    for name in ("spot", "strike"):
+        value = getattr(contract, name)
+        if not 1e-100 <= value <= 1e100:
+            raise ValidationError(f"{name} must be in [1e-100, 1e100], got {value!r}")
+    r, sigma, t = market.r, market.sigma, contract.maturity
+    if t < 1e-100:
+        raise ValidationError(f"maturity must be >= 1e-100, got {t!r}")
+    exponent = r * t + 8.3 * sigma * math.sqrt(t)
+    if not exponent <= 100.0:
+        raise ValidationError(f"r*T + 8.3*sigma*sqrt(T) must be <= 100, got {exponent!r}")
+
+
 def payoff(contract: OptionContract, s):
     """Terminal payoff at price level(s) ``s``.
 
@@ -280,11 +297,12 @@ def _march(
     and positive. That needs each pair A[i+1, i], A[i, i+1] to share a
     strict sign (for the classical stencil, whenever r / sigma^2 < 2): a
     pair of opposite signs or with a zero makes s NaN, 0 or inf, as does an
-    overflow or underflow. If s is finite and positive and ``dpttrf``
-    factors S as L D L^T, the march carries
-    w = D^-1 u on the interior, steps w <- S^-1 (2w + D^-1 beta) - w with
-    ``dpttrs`` and scales the last level (and the kept surface) by s at the
-    end. beta is nonzero only in the first and last interior rows, where
+    overflow or underflow, and a subnormal quotient A[i+1, i] / A[i, i+1]
+    has lost bits, so S would not match A. If every quotient is normal, s is
+    finite and positive and ``dpttrf`` factors S as L D L^T, the march
+    carries w = D^-1 u on the interior, steps w <- S^-1 (2w + D^-1 beta) - w
+    with ``dpttrs`` and scales the last level (and the kept surface) by s at
+    the end. beta is nonzero only in the first and last interior rows, where
     s_0 = 1, so D^-1 beta divides only the upper edge term. Otherwise A is
     factored by ``dgttrf`` and solved by ``dgttrs`` in the same loop with
     s = 1; only ``dgttrf`` raises :class:`SingularSystemError`.
@@ -326,11 +344,12 @@ def _march(
         below, diagonal, above = -i_lower[1:], 1.0 - half_dt * center, -i_upper[:-1]
         solve = None
         # a pair's sign mismatch or zero, like an overflow, leaves s with a
-        # NaN, 0 or inf, so one test picks the path
+        # NaN, 0 or inf, and a subnormal quotient has lost bits
         with np.errstate(all="ignore"):
-            ratio = np.sqrt(below / above)
+            quotient = below / above
+            ratio = np.sqrt(quotient)
             scale = np.cumprod(np.concatenate(([1.0], ratio)))
-        if (np.isfinite(scale) & (scale > 0.0)).all():
+        if (quotient >= np.finfo(float).tiny).all() and (np.isfinite(scale) & (scale > 0.0)).all():
             # S's off-diagonal, below s_i / s_{i+1} = sign sqrt(below above)
             *factors, info = dpttrf(diagonal, below / ratio)
             if info == 0:
@@ -417,6 +436,7 @@ def _solve_grid(
     """Price at the spot, surface (``None`` unless ``keep_surface``) and
     oscillation flag of the payoff marched on ``disc``, with ``thetas`` as in
     :func:`_operator` and ``implicit`` as in :func:`_march`."""
+    _check_domain(contract, market)
     s = disc.nodes()
     final, levels, oscillation = _march(
         payoff(contract, s),
@@ -441,7 +461,7 @@ def build_grid(
     ``ds`` (keeping ``n_space`` intervals) so the spot falls exactly on a
     node whenever an interior node index exists for it; solvers interpolate
     linearly when it does not. An explicit ``s_max`` is a real number (not a
-    bool), used as given, and must exceed ``max(spot, strike)``.
+    bool), used as given, in ``(max(spot, strike), 1e100]``.
     """
     n_space = _count("n_space", n_space, 4)
     n_time = _count("n_time", n_time, 1)
@@ -458,9 +478,9 @@ def build_grid(
         grid_max = ds * n_space
     else:
         grid_max = _real("s_max", s_max)
-        if grid_max <= anchor:
+        if not anchor < grid_max <= 1e100:
             raise ValidationError(
-                f"s_max must exceed max(spot, strike)={anchor}, got {s_max}"
+                f"s_max must exceed max(spot, strike)={anchor} and be <= 1e100, got {s_max}"
             )
         ds = grid_max / n_space
     return Discretization(

@@ -24,6 +24,7 @@ from .model import (
     Method,
     OptionContract,
     PricingResult,
+    _check_domain,
     _count,
     _real,
     payoff,
@@ -112,10 +113,8 @@ def _block_stats(
     config: McConfig,
     block_index: int,
     m: int,
-) -> tuple[float, float, int]:
-    """The sum of the block's payoffs, the sum of their squares scaled by
-    2^(-2e) and e, which is 0 unless a payoff above 2^500 would let the
-    squares overflow."""
+) -> tuple[float, float]:
+    """The sum of the block's payoffs and the sum of their squares."""
     # loaded here so that importing the package does not pay for
     # scipy.special; price_monte_carlo loads it before its clock starts
     from scipy.special import ndtri
@@ -137,10 +136,7 @@ def _block_stats(
         ndtri(u, out=u)
         _advance(st, u, market, dt)
     sample = payoff(contract, st)
-    top = float(sample.max())
-    scale = math.frexp(top)[1] if top > 2.0**500 else 0
-    scaled = np.ldexp(sample, -scale)
-    return float(sample.sum()), float((scaled * scaled).sum()), scale
+    return float(sample.sum()), float((sample * sample).sum())
 
 
 def _usable_cpus() -> int:
@@ -165,8 +161,10 @@ def price_monte_carlo(
     result does not depend on ``n_workers``. ``None`` chooses the count:
     one thread per usable CPU when each block marches at least
     ``_POOL_MIN_STEPS`` steps, else one. No more threads run than there are
-    blocks, and ``extra["n_workers"]`` records how many ran.
+    blocks, and ``extra["n_workers"]`` records how many ran. Raises
+    :class:`ValidationError` outside the priced domain.
     """
+    _check_domain(contract, market)
     if n_workers is None:
         n_workers = _usable_cpus() if config.n_time_steps >= _POOL_MIN_STEPS else 1
     n_workers = _count("n_workers", n_workers, 1)
@@ -189,27 +187,23 @@ def price_monte_carlo(
         # not inherit, so each task runs under the caller's
         err = np.geterr()
 
-        def block(bm: tuple[int, int]) -> tuple[float, float, int]:
+        def block(bm: tuple[int, int]) -> tuple[float, float]:
             with np.errstate(**err):
                 return _block_stats(contract, market, config, *bm)
 
         with ThreadPoolExecutor(max_workers=n_workers) as pool:
             stats = list(pool.map(block, sizes))
-    # the sums of squares are reduced in units of 2^(2 * scale), the largest
-    # block's; where every scale is 0 the arithmetic is unscaled
-    scale = max(block_scale for _, _, block_scale in stats)
     total = 0.0
     total_sq = 0.0
-    for block_sum, block_sq, block_scale in stats:
+    for block_sum, block_sq in stats:
         total += block_sum
-        total_sq += math.ldexp(block_sq, 2 * (block_scale - scale))
+        total_sq += block_sq
     mean = total / n
     discount = math.exp(-market.r * contract.maturity)
     price = discount * mean
     if n > 1:
-        scaled_mean = math.ldexp(mean, -scale)
-        variance = max((total_sq - n * scaled_mean * scaled_mean) / (n - 1), 0.0)
-        se = discount * math.ldexp(math.sqrt(variance / n), scale)
+        variance = max((total_sq - n * mean * mean) / (n - 1), 0.0)
+        se = discount * math.sqrt(variance / n)
     else:
         se = None
     extra = {

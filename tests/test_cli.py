@@ -491,10 +491,21 @@ def _strict_json(text: str):
     return json.loads(text, parse_constant=refuse)
 
 
+def _overflow(*args, **kwargs):
+    """Python-float arithmetic that overflows, as ds**2 did on a grid bound
+    near 1e200."""
+    return 1e200**2
+
+
 class TestOverflowingSolve:
-    # a grid bound near 1e200 overflows ds**2 in Python floats
+    # no input of the priced domain overflows an engine's Python floats, so
+    # the grid operator is stubbed to overflow at the domain's edge
+    @pytest.fixture(autouse=True)
+    def overflowing_grid(self, monkeypatch):
+        monkeypatch.setattr("mcfdm.model._operator", _overflow)
+
     def test_price_records_both_grid_rows_and_prices_the_rest(self, capsys):
-        argv = ["price", "--s-max", "1e200", "--paths", "2000", "--format", "json"]
+        argv = ["price", "--s-max", "1e100", "--paths", "2000", "--format", "json"]
         assert main(argv) == 2
         rows = _strict_json(capsys.readouterr().out)["rows"]
         failed = {r["method"]: r for r in rows if r["error"] is not None}
@@ -506,7 +517,7 @@ class TestOverflowingSolve:
 
     @pytest.mark.parametrize("fmt", ["table", "csv", "json"])
     def test_theta_study_prints_its_report_and_exits_two(self, capsys, fmt):
-        argv = ["theta-study", "--spot", "1e200", "--strike", "1e200", "--format", fmt]
+        argv = ["theta-study", "--spot", "1e100", "--strike", "1e100", "--format", fmt]
         assert main(argv) == 2
         captured = capsys.readouterr()
         assert captured.err == ""
@@ -583,8 +594,9 @@ class TestNonFiniteRowFields:
         assert row["error"] == "solver returned a non-finite se nan"
 
     def test_monte_carlo_standard_error_of_huge_payoffs_is_finite(self, capsys):
-        # squared payoffs near 1e200 overflow, which once made the se NaN
-        assert main([*self.MC_ARGV, "--spot", "1e200", "--strike", "1e200"]) == 0
+        # squared payoffs near 1e200 once overflowed and made the se NaN; at
+        # the domain's largest spot and strike they stay finite
+        assert main([*self.MC_ARGV, "--spot", "1e100", "--strike", "1e100"]) == 0
         (row,) = _strict_json(capsys.readouterr().out)["rows"]
         assert row["error"] is None
         assert 0.0 < row["metadata"]["se"] < row["price"]
@@ -817,8 +829,9 @@ class TestMain:
         )
 
     def test_huge_volatility_prices_the_asset(self, capsys):
-        # sigma^2 T overflows; the closed form takes its sigma -> inf limit S0
-        assert main(["price", "--vol", "1e300", "--method", "exact"]) == 0
+        # at the domain's bound rT + 8.3 sigma sqrt(T) = 100 the closed form
+        # is within 1e-8 of its sigma -> inf limit S0
+        assert main(["price", "--vol", "12.04", "--method", "exact"]) == 0
         assert "     5.00000    (0.00E0)" in capsys.readouterr().out
 
     def test_invalid_argument_exits_one(self, capsys):
@@ -973,27 +986,58 @@ class TestMain:
         assert "--s-max must be 'auto' or a number, got 'abc'" in captured.err
 
     def test_extreme_moneyness_prints_every_row(self, capsys):
-        # S0 / K underflows to 0: both grids overflow, the closed form prices
-        argv = ["price", "--spot", "1e-300", "--strike", "1e300", "--format", "json"]
-        assert main(argv) == 2
+        # S0 / K at the domain's corner 1e-200, where every engine prices
+        argv = ["price", "--spot", "1e-100", "--strike", "1e100", "--format", "json"]
+        assert main(argv) == 0
         rows = _strict_json(capsys.readouterr().out)["rows"]
         assert [r["method"] for r in rows] == ["MCFDM", "CFDM", "MonteCarlo", "Exact"]
-        assert [r["error_kind"] for r in rows] == ["solver", "solver", None, None]
+        assert [r["error_kind"] for r in rows] == [None, None, None, None]
         assert rows[3]["price"] == 0.0
 
     def test_overflowing_moneyness_at_no_volatility_prints_every_row(self, capsys):
-        # S0 / K overflows and sigma sqrt(T) rounds to 0, where the closed
-        # form once divided by zero, failing the Exact and Monte Carlo rows
+        # S0 / K at the domain's corner 1e200 and sigma sqrt(T) rounds to 0,
+        # where the closed form once divided by zero; every engine prices
         argv = [
-            "price", "--spot", "1e300", "--strike", "1e-300", "--rate", "0",
+            "price", "--spot", "1e100", "--strike", "1e-100", "--rate", "0",
             "--vol", "1e-320", "--maturity", "1e-12", "--format", "json",
         ]
-        assert main(argv) == 2
+        assert main(argv) == 0
         rows = _strict_json(capsys.readouterr().out)["rows"]
         assert [r["method"] for r in rows] == ["MCFDM", "CFDM", "MonteCarlo", "Exact"]
-        assert [r["error_kind"] for r in rows] == ["solver", "solver", None, None]
+        assert [r["error_kind"] for r in rows] == [None, None, None, None]
         assert rows[2]["metadata"]["se"] == 0.0
-        assert rows[3]["price"] == 1e300
+        assert rows[3]["price"] == 1e100
+
+    @pytest.mark.parametrize(
+        ("flag", "value", "message"),
+        [
+            ("--spot", "1e200", "spot must be in [1e-100, 1e100], got 1e+200"),
+            ("--vol", "1e300", "r*T + 8.3*sigma*sqrt(T) must be <= 100, got 8.300000000000001e+300"),
+            ("--rate", "1000", "r*T + 8.3*sigma*sqrt(T) must be <= 100, got 1002.075"),
+            ("--s-max", "1e200", "s_max must exceed max(spot, strike)=5.5 and be <= 1e100"),
+        ],
+        ids=["spot", "vol", "rate", "s_max"],
+    )
+    def test_input_outside_the_domain_exits_one_before_any_work(
+        self, monkeypatch, capsys, flag, value, message
+    ):
+        calls = []
+        for module, name in (
+            (mcfdm.model, "_march"),
+            (mcfdm.monte_carlo, "_block_stats"),
+            (mcfdm.oracle, "black_scholes_price"),
+        ):
+
+            def counted(*args, _real=getattr(module, name), _name=name, **kwargs):
+                calls.append(_name)
+                return _real(*args, **kwargs)
+
+            monkeypatch.setattr(module, name, counted)
+        assert main(["price", flag, value]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert f"error: {message}" in captured.err
+        assert calls == []
 
     def test_bad_grid_token_exits_one(self, capsys):
         assert main(["convergence", "--grid", "bogus"]) == 1
@@ -1059,9 +1103,10 @@ class TestMain:
 
     def test_diverging_pooled_monte_carlo_prints_no_runtime_warning(self, fresh_python):
         # two blocks of 64 steps run on the thread pool wherever two CPUs
-        # are usable; r = 1000 overflows the paths and the price is NaN
+        # are usable; the priced domain keeps every path finite, so a stubbed
+        # payoff overflows into inf, inf - inf is NaN and so is the price
         proc = fresh_python(
-            "-m", "mcfdm.cli", "price", "--method", "mc", "--rate", "1000",
+            "-c", _OVERFLOWING_PAYOFF, "price", "--method", "mc",
             "--mc-steps", "64", "--paths", "8192", "--format", "json",
         )
         assert proc.returncode == 2
@@ -1069,6 +1114,20 @@ class TestMain:
         (row,) = json.loads(proc.stdout)["rows"]
         assert row["price"] is None
         assert row["error"] == "solver returned a non-finite price nan"
+
+
+# runs the CLI on its arguments in a fresh interpreter, with a Monte Carlo
+# payoff of inf - inf = NaN: each terminal price times 1e308 overflows
+_OVERFLOWING_PAYOFF = """
+import sys
+import numpy as np
+from mcfdm import cli, monte_carlo
+def payoff(contract, s):
+    big = np.asarray(s) * 1e308
+    return big - big
+monte_carlo.payoff = payoff
+sys.exit(cli.main(sys.argv[1:]))
+"""
 
 
 # runs in a fresh interpreter: which scipy modules are loaded after

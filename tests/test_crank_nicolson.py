@@ -4,8 +4,12 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
+
+# loaded with the module, so that no Hypothesis example pays the march's
+# lazy import of LAPACK (about 280 ms) inside its 200 ms deadline
+import scipy.linalg.lapack  # noqa: F401
 
 from mcfdm import (
     MarketParams,
@@ -49,6 +53,14 @@ def implicit_step(level, bands, dt, boundaries=(0.0, 0.0)):
         keep_surface=False,
     )
     return out
+
+
+def round_trip_cases(n):
+    """Lower, bulk and upper bands of n random entries in [-1, 1], and a
+    level of n + 2."""
+    floats = st.floats(-1.0, 1.0)
+    band = st.lists(floats, min_size=n, max_size=n)
+    return st.tuples(band, band, band, st.lists(floats, min_size=n + 2, max_size=n + 2))
 
 
 def trapezoidal_residual(old, new, bands, dt):
@@ -143,16 +155,21 @@ class TestThomasSolve:
             implicit_step(np.zeros(5), (zero, one, zero), dt=2.0)
 
     # the march always has at least three interior nodes (n_space >= 4)
-    @given(data=st.data(), n=st.integers(3, 30))
-    @settings(max_examples=60)
-    def test_multiply_round_trip(self, data, n):
-        floats = st.floats(-1.0, 1.0)
-        lower, bulk, upper = (
-            np.array(data.draw(st.lists(floats, min_size=n, max_size=n)))
-            for _ in range(3)
+    @given(case=st.integers(3, 30).flatmap(round_trip_cases))
+    # the subnormal quotient 5e-324 / 0.1875 of a band pair lost 6 % to
+    # rounding, and the symmetric solve left a residual of 8.6e-6
+    @example(
+        case=(
+            [0.0, 1.0, 5e-324, 1.0, 1.0, 1.0, 1.0, 1.0],
+            [0.0] * 8,
+            [1.0, 0.1875, 1.0, 1.0, 1.0, 1.0, 1.0, 0.0],
+            [0.0] * 8 + [1.0, 0.0],
         )
+    )
+    @settings(max_examples=60)
+    def test_multiply_round_trip(self, case):
+        lower, bulk, upper, old = map(np.array, case)
         bands = (lower, -3.0 - bulk, upper)
-        old = np.array(data.draw(st.lists(floats, min_size=n + 2, max_size=n + 2)))
         new = implicit_step(old, bands, dt=2.0, boundaries=(0.25, -0.75))
         np.testing.assert_allclose(
             trapezoidal_residual(old, new, bands, 2.0), 0.0, atol=1e-9

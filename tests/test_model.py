@@ -574,6 +574,11 @@ class TestBuildGrid:
         with pytest.raises(ValidationError):
             build_grid(make_contract(), n_space=100, n_time=1000, s_max=5.0)
 
+    def test_explicit_s_max_above_the_domain_rejected(self):
+        assert build_grid(make_contract(), s_max=1e100).s_max == 1e100
+        with pytest.raises(ValidationError, match="be <= 1e100, got 1.0000000000000002e"):
+            build_grid(make_contract(), s_max=math.nextafter(1e100, math.inf))
+
     @pytest.mark.parametrize("s_max", ["abc", None, "40", True])
     def test_s_max_that_is_not_auto_or_a_number_rejected(self, s_max):
         with pytest.raises(ValidationError, match="s_max must be 'auto' or a number, got "):

@@ -37,6 +37,12 @@ def contract(kind=OptionKind.CALL, strike=7.5, spot=7.0, maturity=1.0):
     return OptionContract(kind=kind, strike=strike, maturity=maturity, spot=spot)
 
 
+def overflowing_payoff(contract, s):
+    """A payoff of inf - inf = NaN: each terminal price times 1e308 overflows."""
+    big = np.asarray(s) * 1e308
+    return big - big
+
+
 class TestMcConfig:
     def test_defaults(self):
         config = McConfig()
@@ -247,15 +253,16 @@ class TestPriceMonteCarlo:
         result = price_monte_carlo(contract(), market(), three_blocks, n_workers=4)
         assert result.extra["n_workers"] == 3
 
-    def test_pooled_blocks_run_under_the_callers_error_state(self):
-        # r = 1000 overflows the paths into inf, and inf - inf gives NaN;
-        # a pool thread does not inherit the caller's np.errstate
-        diverging = MarketParams(r=1000.0, sigma=0.25)
+    def test_pooled_blocks_run_under_the_callers_error_state(self, monkeypatch):
+        # the priced domain keeps every path finite, so a stubbed payoff
+        # overflows into inf, and inf - inf gives NaN; a pool thread does not
+        # inherit the caller's np.errstate
+        monkeypatch.setattr(monte_carlo, "payoff", overflowing_payoff)
         config = McConfig(n_paths=8192, seed=5, n_time_steps=64)
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")
             with np.errstate(over="ignore", invalid="ignore"):
-                result = price_monte_carlo(contract(), diverging, config, n_workers=2)
+                result = price_monte_carlo(contract(), market(), config, n_workers=2)
         assert [str(w.message) for w in caught] == []
         assert math.isnan(result.price)
 
@@ -277,14 +284,14 @@ class TestPriceMonteCarlo:
 
     @pytest.mark.parametrize("workers", [1, 2])
     def test_standard_error_of_huge_payoffs_scales_with_the_contract(self, workers):
-        # squares of payoffs near 1e200 overflow; the blocks' scaled sums of
-        # squares keep the se the unit contract gives, times 1e200
+        # at the domain's largest spot and strike the squares of the payoffs,
+        # near 1e198, stay finite, and the se is the unit contract's times 1e99
         config = McConfig(n_paths=10_000, seed=9)
         unit = price_monte_carlo(contract(), market(), config, n_workers=workers)
         huge = price_monte_carlo(
-            contract(strike=7.5e200, spot=7e200), market(), config, n_workers=workers
+            contract(strike=7.5e99, spot=7e99), market(), config, n_workers=workers
         )
-        assert huge.extra["se"] == pytest.approx(1e200 * unit.extra["se"], rel=1e-12)
+        assert huge.extra["se"] == pytest.approx(1e99 * unit.extra["se"], rel=1e-12)
 
     def test_discounted_mean_recovers_the_forward(self):
         # a strikeless call pays S_T, so the discounted estimate must sit on s0

@@ -3,7 +3,7 @@ import time
 import warnings
 
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 import mcfdm.oracle
@@ -43,6 +43,14 @@ def market(r=0.05, sigma=0.25):
 
 def contract(kind=CALL, strike=5.5, maturity=1.0, spot=5.0):
     return OptionContract(kind=kind, strike=strike, maturity=maturity, spot=spot)
+
+
+def edge_sigma(r, maturity):
+    """The largest sigma of the priced domain, where rT + 8.3 sigma sqrt(T) = 100."""
+    sigma = (100.0 - r * maturity) / (8.3 * math.sqrt(maturity))
+    while r * maturity + 8.3 * sigma * math.sqrt(maturity) > 100.0:
+        sigma = math.nextafter(sigma, 0.0)
+    return sigma
 
 
 class TestStdNormalCdf:
@@ -113,10 +121,11 @@ class TestBlackScholesPrice:
         assert black_scholes_price(c, market(sigma=1e-320)) == expected
 
     @pytest.mark.parametrize("maturity", [0.25, 1.0, 4.0])
-    @pytest.mark.parametrize("sigma", [1e150, 1e154, 2e154, 1e200, 1e300, 1.7e308])
-    def test_huge_volatility_takes_its_limit(self, sigma, maturity):
-        # (r + sigma^2/2) T overflows from 2e154 here (from 1e154 at T = 4),
-        # and sigma sqrt(T) at 1.7e308 and T = 4; the limits are S0 and K e^-rT
+    @pytest.mark.parametrize("share", [0.95, 0.96, 0.97, 0.98, 0.99, 1.0])
+    def test_huge_volatility_takes_its_limit(self, share, maturity):
+        # up to the domain's bound sigma sqrt(T) is about 12, and the prices
+        # sit within the normal tail N(-5.7) of their limits S0 and K e^-rT
+        sigma = share * edge_sigma(0.05, maturity)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             c = black_scholes_price(contract(maturity=maturity), market(sigma=sigma))
@@ -126,7 +135,7 @@ class TestBlackScholesPrice:
         assert abs(c - p - forward_gap) <= 1e-12
         assert max(forward_gap, 0.0) <= c <= 5.0
         assert max(-forward_gap, 0.0) <= p <= discounted_strike
-        assert (c, p) == (5.0, discounted_strike)
+        assert (c, p) == pytest.approx((5.0, discounted_strike), rel=0.0, abs=1e-7)
 
     def test_monotone_in_spot_and_maturity(self):
         spots = [3.0, 4.0, 5.0, 6.0, 7.0]
@@ -188,10 +197,10 @@ class TestRiskNeutralIntegralPrice:
         assert risk_neutral_integral_price(c, m) == pytest.approx(0.0, abs=1e-12)
 
     @pytest.mark.parametrize("kind", [CALL, PUT])
-    @pytest.mark.parametrize("sigma", [1e3, 1e5, 1e10, 1e150, 2e154, 1e300])
+    @pytest.mark.parametrize("sigma", [6.0, 8.0, 10.0, 11.0, 12.0, edge_sigma(0.05, 1.0)])
     def test_huge_volatility_matches_the_closed_form_or_raises(self, sigma, kind):
-        # near its peak the call's asset leg cancels terms of size sigma^2 T / 2,
-        # which once returned 0 for a price of 5; the put never meets the peak
+        # up to the domain's bound on sigma sqrt(T), about 12, the call's
+        # asset leg peaks at z = sigma sqrt(T), inside the integration window
         c = contract(kind=kind)
         m = market(sigma=sigma)
         expected = black_scholes_price(c, m)
@@ -212,9 +221,9 @@ class TestRiskNeutralIntegralPrice:
 
 
 class TestExtremeMoneyness:
-    # S0 / K underflows to 0 or overflows to inf; the log-moneyness is finite
+    # S0 / K at the domain's corners, 1e-200 and 1e200
     @pytest.mark.parametrize("kind", [CALL, PUT])
-    @pytest.mark.parametrize("spot, strike", [(1e-300, 1e300), (1e300, 1e-300)])
+    @pytest.mark.parametrize("spot, strike", [(1e-100, 1e100), (1e100, 1e-100)])
     def test_closed_form_and_quadrature_agree_within_the_bounds(self, spot, strike, kind):
         c = contract(kind=kind, strike=strike, spot=spot)
         m = market()
@@ -226,7 +235,10 @@ class TestExtremeMoneyness:
         closed = black_scholes_price(c, m)
         integral = risk_neutral_integral_price(c, m)
         assert low <= closed <= high
-        assert low <= integral <= high
+        # within the quadrature's tolerance: the deep put's integral is one
+        # ulp below K e^-rT
+        slack = 1e-10 * high
+        assert low - slack <= integral <= high + slack
         assert integral == pytest.approx(closed, rel=1e-9)
 
 
@@ -234,15 +246,41 @@ def _decades(lo, hi):
     return st.floats(lo, hi).map(lambda e: 10.0**e)
 
 
+def in_domain(spot, strike, maturity, sigma, r):
+    """Whether the inputs lie in the priced domain, as README states it."""
+    return (
+        all(1e-100 <= x <= 1e100 for x in (spot, strike))
+        and maturity >= 1e-100
+        and r * maturity + 8.3 * sigma * math.sqrt(maturity) <= 100.0
+    )
+
+
+@st.composite
+def domain_inputs(draw):
+    """Log-uniform across the priced domain: S0 / K from 1e-200 to 1e200,
+    rT up to 98 and sigma from subnormal to the bound on rT + 8.3 sigma sqrt(T)."""
+    maturity = draw(_decades(-12, 17))
+    rt = draw(st.one_of(st.just(0.0), _decades(-20, 1.99)))
+    sigma_max = (100.0 - rt) * (1.0 - 1e-9) / (8.3 * math.sqrt(maturity))
+    return {
+        "kind": draw(st.sampled_from([CALL, PUT])),
+        "spot": draw(_decades(-100, 100)),
+        "strike": draw(_decades(-100, 100)),
+        "maturity": maturity,
+        "sigma": draw(_decades(-320, math.log10(sigma_max))),
+        "r": rt / maturity,
+    }
+
+
 # log-uniform across most of the double range, where S0 / K overflows,
 # e^-rT underflows and sigma sqrt(T) rounds to 0 or overflows
-EDGE_INPUTS = {
+FLOAT_RANGE_INPUTS = {
     "kind": st.sampled_from([CALL, PUT]),
     "spot": _decades(-300, 300),
     "strike": _decades(-300, 300),
-    "maturity": _decades(-12, 17),
+    "maturity": _decades(-320, 17),
     "sigma": _decades(-320, 300),
-    "r": st.one_of(st.sampled_from([0.0, 0.05]), _decades(-20, 1)),
+    "r": st.one_of(st.sampled_from([0.0, 0.05]), _decades(-20, 300)),
 }
 
 
@@ -254,19 +292,16 @@ def edge_case(kind, spot, strike, maturity, sigma, r):
 
 
 class TestFloatRangeEdges:
-    @given(**EDGE_INPUTS)
-    # S0 / K overflows with sigma sqrt(T) = 0, then with sigma sqrt(T) = inf
-    @example(kind=CALL, spot=1e300, strike=1e-300, maturity=1e-12, sigma=1e-320, r=0.0)
-    @example(kind=PUT, spot=1e300, strike=1e-300, maturity=1e17, sigma=1e300, r=0.0)
-    # S0 / K is subnormal, so its log was 0.2 off and the call priced below 0
-    @example(
-        kind=CALL, spot=9.156154305859823e-162, strike=2.260864376382897e162,
-        maturity=172348737827230.9, sigma=1.1358829561938399e-59, r=4.319685604110488e-12,
-    )
-    # e^-rT underflows where K e^-rT does not
-    @example(kind=PUT, spot=1.17e-146, strike=1.35e200, maturity=78.9, sigma=3.2e-311, r=10.0)
+    @given(inputs=domain_inputs())
+    # S0 / K at 1e200 with sigma sqrt(T) subnormal, then at 1e-200 with
+    # rT + 8.3 sigma sqrt(T) = 100
+    @example(inputs=dict(kind=CALL, spot=1e100, strike=1e-100, maturity=1e-12, sigma=1e-320, r=0.0))
+    @example(inputs=dict(kind=PUT, spot=1e-100, strike=1e100, maturity=1.0, sigma=edge_sigma(50.0, 1.0), r=50.0))
+    @example(inputs=dict(kind=CALL, spot=1e-100, strike=1e100, maturity=1e17, sigma=edge_sigma(0.0, 1e17), r=0.0))
+    # e^-rT at its floor e^-100, with sigma sqrt(T) subnormal
+    @example(inputs=dict(kind=PUT, spot=1e-100, strike=1e100, maturity=10.0, sigma=1e-320, r=10.0 - 1e-14))
     @settings(max_examples=500)
-    def test_closed_form_stays_within_the_no_arbitrage_bounds(self, **inputs):
+    def test_closed_form_stays_within_the_no_arbitrage_bounds(self, inputs):
         c, m, df_strike, scale = edge_case(**inputs)
         price = black_scholes_price(c, m)
         if c.kind is CALL:
@@ -275,14 +310,13 @@ class TestFloatRangeEdges:
             low, high = max(df_strike - c.spot, 0.0), df_strike
         assert low - 1e-12 * scale <= price <= high + 1e-12 * scale
 
-    @given(**EDGE_INPUTS)
-    # sigma sqrt(T) overflows (once 0.0 for a price of 7.5), a leg overflows
-    # (once a bare OverflowError), the integral overflows (once inf)
-    @example(kind=PUT, spot=7.0, strike=7.5, maturity=1e17, sigma=1e300, r=0.0)
-    @example(kind=CALL, spot=2.7e-29, strike=7.3e35, maturity=6.3e14, sigma=5e-32, r=10.0)
-    @example(kind=CALL, spot=3.8e298, strike=8.5e-261, maturity=25.0, sigma=0.25, r=10.0)
+    @given(inputs=domain_inputs())
+    # sigma sqrt(T) and rT at the domain's bound, at both corners of S0 / K
+    @example(inputs=dict(kind=PUT, spot=1e100, strike=1e-100, maturity=1e17, sigma=edge_sigma(0.0, 1e17), r=0.0))
+    @example(inputs=dict(kind=CALL, spot=1e-100, strike=1e100, maturity=1.0, sigma=edge_sigma(50.0, 1.0), r=50.0))
+    @example(inputs=dict(kind=CALL, spot=1e100, strike=1e-100, maturity=25.0, sigma=0.25, r=3.5))
     @settings(max_examples=200, deadline=None)
-    def test_quadrature_agrees_with_the_closed_form_or_raises(self, **inputs):
+    def test_quadrature_agrees_with_the_closed_form_or_raises(self, inputs):
         c, m, _, scale = edge_case(**inputs)
         try:
             value = risk_neutral_integral_price(c, m)
@@ -290,6 +324,90 @@ class TestFloatRangeEdges:
             return
         expected = black_scholes_price(c, m)
         assert abs(value - expected) <= max(1e-9 * scale, 1e-9)
+
+
+class TestPricedDomain:
+    """Inputs outside the priced domain raise before any engine works."""
+
+    @staticmethod
+    def refusals(c, m):
+        """The ValidationError of each engine, None where one priced."""
+        engines = {
+            "closed form": lambda: black_scholes_price(c, m),
+            "quadrature": lambda: risk_neutral_integral_price(c, m),
+            "Monte Carlo": lambda: price_monte_carlo(c, m, McConfig(n_paths=1), n_workers=1),
+            "MCFDM": lambda: solve_mcfdm(c, m, build_grid(c, n_space=4, n_time=1)),
+            "CFDM": lambda: solve_crank_nicolson(c, m, build_grid(c, n_space=4, n_time=1)),
+        }
+        errors = {}
+        for name, engine in engines.items():
+            try:
+                engine()
+            except ValidationError as exc:
+                errors[name] = exc
+            else:
+                errors[name] = None
+        return errors
+
+    # the last two float-range defects found before the domain was declared:
+    # Monte Carlo's paths overflowed where rT passed 709, and the closed
+    # form's sigma -> inf branch formed -inf + inf
+    @pytest.mark.parametrize("kind", [CALL, PUT])
+    @pytest.mark.parametrize(
+        "inputs",
+        [
+            dict(spot=1.17e-146, strike=1.35e200, maturity=78.9, sigma=3.2e-311, r=10.0),
+            dict(spot=1e-300, strike=1e300, maturity=1e17, sigma=1e-320, r=1e300),
+        ],
+        ids=["rT past 709", "rT overflows"],
+    )
+    def test_float_range_defects_are_refused(self, inputs, kind):
+        c, m, _, _ = edge_case(kind=kind, **inputs)
+        with pytest.raises(ValidationError, match="spot must be in"):
+            price_monte_carlo(c, m, McConfig(n_paths=1000))
+        with pytest.raises(ValidationError, match="spot must be in"):
+            black_scholes_price(c, m)
+
+    @pytest.mark.parametrize(
+        "inputs, quantity",
+        [
+            (dict(spot=1e101), "spot must be in [1e-100, 1e100], got 1e+101"),
+            (dict(strike=9e-101), "strike must be in [1e-100, 1e100], got 9e-101"),
+            (dict(maturity=1e-101), "maturity must be >= 1e-100, got 1e-101"),
+            (dict(r=100.0), "r*T + 8.3*sigma*sqrt(T) must be <= 100, got 102.075"),
+            (dict(sigma=12.1), "r*T + 8.3*sigma*sqrt(T) must be <= 100, got 100.43"),
+        ],
+        ids=["spot", "strike", "maturity", "rate", "sigma"],
+    )
+    def test_every_engine_names_the_quantity(self, inputs, quantity):
+        fields = dict(kind=CALL, spot=5.0, strike=5.5, maturity=1.0, sigma=0.25, r=0.0)
+        c, m, _, _ = edge_case(**{**fields, **inputs})
+        for name, exc in self.refusals(c, m).items():
+            assert exc is not None, name
+            assert str(exc).startswith(quantity), name
+
+    @given(**FLOAT_RANGE_INPUTS)
+    # S0 / K overflows with sigma sqrt(T) = 0 (once a ZeroDivisionError), then
+    # with sigma sqrt(T) = inf (once NaN)
+    @example(kind=CALL, spot=1e300, strike=1e-300, maturity=1e-12, sigma=1e-320, r=0.0)
+    @example(kind=PUT, spot=1e300, strike=1e-300, maturity=1e17, sigma=1e300, r=0.0)
+    # S0 / K is subnormal, so its log was 0.2 off and the call priced below 0
+    @example(
+        kind=CALL, spot=9.156154305859823e-162, strike=2.260864376382897e162,
+        maturity=172348737827230.9, sigma=1.1358829561938399e-59, r=4.319685604110488e-12,
+    )
+    # sigma sqrt(T) overflows (once a quadrature of 0.0 for a price of 7.5),
+    # a leg overflows (once a bare OverflowError), the integral overflows
+    @example(kind=PUT, spot=7.0, strike=7.5, maturity=1e17, sigma=1e300, r=0.0)
+    @example(kind=CALL, spot=2.7e-29, strike=7.3e35, maturity=6.3e14, sigma=5e-32, r=10.0)
+    @example(kind=CALL, spot=3.8e298, strike=8.5e-261, maturity=25.0, sigma=0.25, r=10.0)
+    # (r + sigma^2 / 2) T overflows at a subnormal maturity with sigma sqrt(T) = 1
+    @example(kind=CALL, spot=1.0, strike=1.0, maturity=1e-310, sigma=1e155, r=0.0)
+    @settings(max_examples=200, deadline=None)
+    def test_inputs_outside_the_domain_are_refused(self, **inputs):
+        assume(not in_domain(**{k: v for k, v in inputs.items() if k != "kind"}))
+        c, m, _, _ = edge_case(**inputs)
+        assert None not in self.refusals(c, m).values()
 
 
 class TestOracleOutsideTheClock:
