@@ -121,6 +121,9 @@ class Discretization:
             object.__setattr__(self, name, _count(name, getattr(self, name), minimum))
         for name in ("s_max", "ds", "dt"):
             object.__setattr__(self, name, _real(name, getattr(self, name)))
+        # keeps sigma^2 S^2 finite in the priced domain; auto grids stay below 6e100
+        if self.s_max > 1e101:
+            raise ValidationError(f"s_max must be <= 1e101, got {self.s_max!r}")
         if abs(self.ds * self.n_space - self.s_max) > _REL_TOL * max(1.0, self.s_max):
             raise ValidationError(
                 f"inconsistent grid: ds*n_space={self.ds * self.n_space!r} "
@@ -461,7 +464,7 @@ def build_grid(
     ``ds`` (keeping ``n_space`` intervals) so the spot falls exactly on a
     node whenever an interior node index exists for it; solvers interpolate
     linearly when it does not. An explicit ``s_max`` is a real number (not a
-    bool), used as given, in ``(max(spot, strike), 1e100]``.
+    bool), used as given, and must exceed ``max(spot, strike)``.
     """
     n_space = _count("n_space", n_space, 4)
     n_time = _count("n_time", n_time, 1)
@@ -478,9 +481,9 @@ def build_grid(
         grid_max = ds * n_space
     else:
         grid_max = _real("s_max", s_max)
-        if not anchor < grid_max <= 1e100:
+        if grid_max <= anchor:
             raise ValidationError(
-                f"s_max must exceed max(spot, strike)={anchor} and be <= 1e100, got {s_max}"
+                f"s_max must exceed max(spot, strike)={anchor}, got {s_max}"
             )
         ds = grid_max / n_space
     return Discretization(

@@ -155,4 +155,8 @@ def risk_neutral_integral_price(
     )
     if tail:  # QUADPACK appended a warning message
         raise QuadratureError(f"quadrature did not converge: {tail[0]}", abserr)
-    return value * math.exp(-r * t)
+    # the true price lies within [max(high - other, 0), high], so clamping only
+    # removes error, as where a deep put's integral lands an ulp below K e^-rT - S0
+    df_strike = k * math.exp(-r * t)
+    high, other = (s0, df_strike) if contract.kind is OptionKind.CALL else (df_strike, s0)
+    return min(max(value * math.exp(-r * t), high - other, 0.0), high)

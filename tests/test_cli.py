@@ -1014,7 +1014,7 @@ class TestMain:
             ("--spot", "1e200", "spot must be in [1e-100, 1e100], got 1e+200"),
             ("--vol", "1e300", "r*T + 8.3*sigma*sqrt(T) must be <= 100, got 8.300000000000001e+300"),
             ("--rate", "1000", "r*T + 8.3*sigma*sqrt(T) must be <= 100, got 1002.075"),
-            ("--s-max", "1e200", "s_max must exceed max(spot, strike)=5.5 and be <= 1e100"),
+            ("--s-max", "1e200", "s_max must be <= 1e101, got 1e+200"),
         ],
         ids=["spot", "vol", "rate", "s_max"],
     )

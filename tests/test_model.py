@@ -16,6 +16,8 @@ from mcfdm import (
     ValidationError,
     build_grid,
     payoff,
+    solve_crank_nicolson,
+    solve_mcfdm,
 )
 from mcfdm import model
 from mcfdm.mean_convection import ThetaConfig, _theta_values
@@ -575,9 +577,15 @@ class TestBuildGrid:
             build_grid(make_contract(), n_space=100, n_time=1000, s_max=5.0)
 
     def test_explicit_s_max_above_the_domain_rejected(self):
-        assert build_grid(make_contract(), s_max=1e100).s_max == 1e100
-        with pytest.raises(ValidationError, match="be <= 1e100, got 1.0000000000000002e"):
-            build_grid(make_contract(), s_max=math.nextafter(1e100, math.inf))
+        assert build_grid(make_contract(), s_max=1e101).s_max == 1e101
+        with pytest.raises(ValidationError, match=r"s_max must be <= 1e101, got 1.0000000000000001e\+101"):
+            build_grid(make_contract(), s_max=math.nextafter(1e101, math.inf))
+
+    @pytest.mark.parametrize("n_space", [4, 5, 6, 7, 100])
+    def test_auto_grid_at_the_domain_corner_is_admitted(self, n_space):
+        # the spot nudge takes the auto grid from 3 to 5 max(spot, strike) here
+        c = make_contract(spot=1e100, strike=1e100)
+        assert 3e100 <= build_grid(c, n_space=n_space).s_max <= 5e100
 
     @pytest.mark.parametrize("s_max", ["abc", None, "40", True])
     def test_s_max_that_is_not_auto_or_a_number_rejected(self, s_max):
@@ -640,6 +648,14 @@ class TestDiscretization:
     def test_n_time_that_is_no_int_rejected(self, n_time):
         with pytest.raises(ValidationError, match="n_time must be an int >= 1"):
             Discretization(s_max=10.0, n_space=10, n_time=n_time, ds=1.0, dt=0.1)
+
+    @pytest.mark.parametrize("engine", [solve_crank_nicolson, solve_mcfdm])
+    def test_s_max_above_the_domain_rejected_before_an_engine_runs(self, engine):
+        # a grid built by hand, not by build_grid, once reached ds**2 and
+        # raised a bare OverflowError
+        c, m = make_contract(), MarketParams(r=0.05, sigma=0.25)
+        with pytest.raises(ValidationError, match=r"s_max must be <= 1e101, got 1e\+200"):
+            engine(c, m, Discretization(s_max=1e200, n_space=4, n_time=1, ds=2.5e199, dt=1.0))
 
     def test_nodes_are_uniform(self):
         disc = Discretization(s_max=10.0, n_space=10, n_time=5, ds=1.0, dt=0.1)
