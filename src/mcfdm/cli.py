@@ -356,14 +356,6 @@ def _planned(method: str, job: JobSpec) -> _Row:
     return _Row(method, job.maturity, disc, solve)
 
 
-def _plan(methods: Sequence[str], jobs: Sequence[JobSpec]) -> list[_Row]:
-    """One row per (method, job), method-major, each solving its own job.
-
-    Every row is built, and so checked, before any row runs.
-    """
-    return [_planned(method, job) for method in methods for job in jobs]
-
-
 def _error_kind(exc: Exception) -> str:
     if isinstance(exc, StabilityError):
         return "stability"
@@ -378,8 +370,8 @@ def _error_kind(exc: Exception) -> str:
 def _solve_row(row: _Row, repeats: int | None = None) -> ReportRow:
     """Run one planned row, capturing failures in the report row.
 
-    With ``repeats``, the first solve is a warm-up and the row reports the
-    median seconds of ``repeats`` further solves.
+    The ``repeats`` argument, when given, makes the first solve a warm-up;
+    the row then reports the median seconds of ``repeats`` further solves.
     """
     error = error_kind = None
     try:
@@ -409,20 +401,35 @@ def _solve_row(row: _Row, repeats: int | None = None) -> ReportRow:
     return ReportRow(row.method, row.maturity, *solved, error, error_kind)
 
 
-def _report(job: JobSpec, plan: Sequence[_Row], **echo: Any) -> TableReport:
-    """Run ``plan``, then report its rows under a provenance block that
-    echoes ``job`` and then ``echo``: the subcommand and its sweep.
+def _report(
+    command: str,
+    job: JobSpec,
+    methods: Sequence[str],
+    jobs: Sequence[JobSpec],
+    repeats: int | None = None,
+    /,
+    **echo: Any,
+) -> tuple[TableReport, list[_Row]]:
+    """The report of subcommand ``command``: one row per (method, swept
+    job), method-major, each solving its own job, under a provenance block
+    that echoes ``job``, then ``command`` and ``echo``, its sweep.
 
-    The rows run in order, one at a time, so that each row's
-    elapsed_seconds times its solve alone; a ``repeats`` echo makes each
-    row time that many solves after a warm-up.
+    An empty sweep is refused, and every row is built, and so checked,
+    before any row runs. The rows then run in order, one at a time, so
+    that each row's elapsed_seconds times its solve alone; the ``repeats``
+    argument, when given, makes each row time that many solves after a
+    warm-up; it is positional-only, so that ``echo`` can echo it too. The
+    plan comes back with the report, so that a caller can read each row's grid.
 
     ``scipy`` is the version of the scipy that the report's Crank-Nicolson
     and Monte Carlo rows loaded, or ``None`` when it has no such row, even
     if an earlier call in the same process loaded scipy. It is read from
     ``sys.modules``, so that writing it loads nothing.
     """
-    rows = tuple(_solve_row(row, echo.get("repeats")) for row in plan)
+    if not jobs:
+        raise ValidationError(f"{_SUBCOMMANDS[command][1].flag} list must be nonempty")
+    plan = [_planned(method, each) for method in methods for each in jobs]
+    rows = tuple(_solve_row(row, repeats) for row in plan)
     job_echo = asdict(job)
     job_echo["mc_steps"] = _mc_steps(job)
     scipy = None
@@ -438,7 +445,7 @@ def _report(job: JobSpec, plan: Sequence[_Row], **echo: Any) -> TableReport:
         "cpu_count": os.cpu_count(),
         "job": job_echo,
     }
-    return TableReport(provenance={**block, **echo}, rows=rows)
+    return TableReport(provenance={**block, "subcommand": command, **echo}, rows=rows), plan
 
 
 def _methods_for(job: JobSpec, numerical_only: bool = False) -> list[str]:
@@ -450,10 +457,7 @@ def _methods_for(job: JobSpec, numerical_only: bool = False) -> list[str]:
 def run_table(maturities: Sequence[float], job: JobSpec) -> TableReport:
     """One row per (method, maturity); row failures are recorded in-row."""
     jobs = [replace(job, maturity=maturity) for maturity in maturities]
-    if not jobs:
-        raise ValidationError("maturity list must be nonempty")
-    plan = _plan(_methods_for(job), jobs)
-    return _report(job, plan, subcommand="table", maturities=[j.maturity for j in jobs])
+    return _report("table", job, _methods_for(job), jobs, maturities=[j.maturity for j in jobs])[0]
 
 
 def run_timing(job: JobSpec, repeats: int = 5) -> TableReport:
@@ -466,21 +470,18 @@ def run_timing(job: JobSpec, repeats: int = 5) -> TableReport:
     repeats = _count("repeats", repeats, 3)
     if job.mc_steps is None:
         job = replace(job, mc_steps=job.n_time)
-    plan = _plan(_methods_for(job, numerical_only=True), [job])
-    return _report(job, plan, subcommand="timing", repeats=repeats)
+    methods = _methods_for(job, numerical_only=True)
+    return _report("timing", job, methods, [job], repeats, repeats=repeats)[0]
 
 
 def run_theta_study(scalings: Sequence[float], job: JobSpec) -> TableReport:
     """One MCFDM row per scaling k, sorted by k, with oscillation flags."""
     jobs = [replace(job, theta_scale=scaling) for scaling in scalings]
-    if not jobs:
-        raise ValidationError("scaling list must be nonempty")
     jobs.sort(key=lambda j: j.theta_scale)
     # the study always runs MCFDM, whatever the base job selects; the base
-    # job, whose θ the provenance echoes, is planned first to check it and
-    # is not run
-    plan = _plan(["MCFDM"], [job, *jobs])[1:]
-    return _report(job, plan, subcommand="theta-study", scalings=[j.theta_scale for j in jobs])
+    # job, whose θ the provenance echoes, is checked and not run
+    _planned("MCFDM", job)
+    return _report("theta-study", job, ["MCFDM"], jobs, scalings=[j.theta_scale for j in jobs])[0]
 
 
 def run_convergence(
@@ -491,24 +492,19 @@ def run_convergence(
     Each row after the first carries ``observed_order``, the error decay
     rate between consecutive grids measured against their actual spacings.
     """
-    if not grids:
-        raise ValidationError("grid list must be nonempty")
     jobs = []
     for grid in grids:
         # a replayed report holds its grids as "N_SPACE:N_TIME" strings
         if not (isinstance(grid, (tuple, list)) and len(grid) == 2):
             raise ValidationError(f"grid must be a pair of ints, got {grid!r}")
         jobs.append(replace(job, n_space=grid[0], n_time=grid[1]))
-    if job.method == "All":
-        raise ValidationError("convergence runs a single method; pick one")
     if job.method not in ("MCFDM", "CFDM"):
         raise ValidationError(
             f"convergence refines a grid, which {job.method} does not use; "
             "pick mcfdm or cfdm"
         )
-    plan = _plan([job.method], jobs)
     grid_echo = [f"{j.n_space}:{j.n_time}" for j in jobs]
-    report = _report(job, plan, subcommand="convergence", grids=grid_echo)
+    report, plan = _report("convergence", job, [job.method], jobs, grids=grid_echo)
     previous: ReportRow | None = None
     for row, planned in zip(report.rows, plan):
         if row.error is not None:
@@ -683,8 +679,7 @@ def main(argv: Sequence[str] | None = None) -> int:
         elif args.command == "timing":
             report = run_timing(job, repeats=args.repeats)
         else:
-            plan = _plan(_methods_for(job), [job])
-            report = _report(job, plan, subcommand="price", maturities=[job.maturity])
+            report = _report("price", job, _methods_for(job), [job], maturities=[job.maturity])[0]
     except ValidationError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

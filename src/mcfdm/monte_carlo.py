@@ -23,6 +23,7 @@ from .model import (
     MarketParams,
     Method,
     OptionContract,
+    OptionKind,
     PricingResult,
     _check_domain,
     _count,
@@ -83,6 +84,8 @@ def sample_terminal_price(
         )
     s0 = _real("s0", s0)
     t_total = _real("t_total", t_total)
+    # s0 stands in for the strike, which the march does not take
+    _check_domain(OptionContract(OptionKind.CALL, s0, t_total, s0), market)
     dt = t_total / n_steps
     st = np.full(z.shape[1], s0, dtype=float)
     for start in range(0, z.shape[0], _CHUNK_ROWS):

@@ -25,7 +25,7 @@ _INV_SQRT_2PI = 1.0 / math.sqrt(2.0 * math.pi)
 # standard normal mass beyond |z| = 40 underflows double precision
 _Z_CUTOFF = 40.0
 
-# absolute and relative tolerance of the quadrature
+# relative tolerance of the quadrature, and its absolute one per unit of max(S0, K)
 _TOLERANCE = 1e-10
 
 
@@ -148,7 +148,7 @@ def risk_neutral_integral_price(
         lo,
         hi,
         points=peaks or None,
-        epsabs=_TOLERANCE,
+        epsabs=_TOLERANCE * max(s0, k),
         epsrel=_TOLERANCE,
         limit=200,
         full_output=True,

@@ -242,10 +242,6 @@ class TestRunTable:
         assert (row.method, row.error) == (method, None)
         assert _exit_code(report) == 0
 
-    def test_empty_maturity_list_rejected(self):
-        with pytest.raises(ValidationError):
-            run_table([], small_job())
-
     def test_bad_maturity_rejected_before_rows_run(self):
         with pytest.raises(ValidationError):
             run_table([1.0, -2.0], small_job())
@@ -314,6 +310,14 @@ class TestRunThetaStudy:
             direct_price(dataclasses.replace(job, theta_scale=k))
             for k in (0.0, 0.5, 2.0)
         ]
+
+    def test_base_job_checked_before_any_row_runs(self, monkeypatch):
+        # the one scaling is valid; only the base job, which is echoed and
+        # not run, holds a negative k
+        for engine in _ENGINES:
+            monkeypatch.setattr(f"mcfdm.cli.{engine}", _fail_if_called)
+        with pytest.raises(ValidationError, match="scaling must be finite and >= 0"):
+            run_theta_study([1.0], small_job(theta_scale=-1.0))
 
     def test_oscillation_flag_reaches_the_report(self):
         job = small_job(kind="put")
@@ -427,6 +431,17 @@ def test_bad_input_fails_before_any_row_runs(monkeypatch, run):
         monkeypatch.setattr(f"mcfdm.cli.{engine}", _fail_if_called)
     with pytest.raises(ValidationError):
         run()
+
+
+@pytest.mark.parametrize(
+    ("run", "name"),
+    [(run_table, "maturity"), (run_theta_study, "scaling"), (run_convergence, "grid")],
+)
+def test_empty_maturity_list_rejected(monkeypatch, run, name):
+    for engine in _ENGINES:
+        monkeypatch.setattr(f"mcfdm.cli.{engine}", _fail_if_called)
+    with pytest.raises(ValidationError, match=f"^{name} list must be nonempty$"):
+        run([], small_job(method="CFDM"))
 
 
 @pytest.mark.parametrize("run", [run_table, run_theta_study])

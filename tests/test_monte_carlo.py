@@ -106,6 +106,21 @@ class TestSampleTerminalPrice:
             with pytest.raises(ValidationError, match="n_steps must be an int >= 1"):
                 sample_terminal_price(market(), 1.0, 1.0, n_steps, np.zeros(shape))
 
+    @pytest.mark.parametrize(
+        ("mk", "s0", "message"),
+        [
+            (MarketParams(r=1000.0, sigma=0.25), 5.0, "r\\*T"),
+            (market(), 1e200, "spot must be in"),
+        ],
+        ids=["rate", "spot"],
+    )
+    def test_inputs_outside_the_priced_domain_rejected(self, mk, s0, message):
+        # r = 1000 overflowed the step growth into inf with a RuntimeWarning
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValidationError, match=message):
+                sample_terminal_price(mk, s0, 1.0, 1, np.zeros((1, 3)))
+
     def test_normals_are_left_unchanged(self):
         normals = np.random.default_rng(4).standard_normal((40, 16))
         before = normals.copy()

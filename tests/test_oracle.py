@@ -263,7 +263,7 @@ def in_domain(spot, strike, maturity, sigma, r):
 
 @st.composite
 def domain_inputs(draw):
-    """Log-uniform across the priced domain: S0 / K from 1e-200 to 1e200,
+    """Log-uniform across the priced domain: S0 / K from 1e-100 to 1e100,
     rT up to 98 and sigma from subnormal to the bound on rT + 8.3 sigma sqrt(T)."""
     maturity = draw(_decades(-12, 17))
     rt = draw(st.one_of(st.just(0.0), _decades(-20, 1.99)))
@@ -299,7 +299,7 @@ def edge_case(kind, spot, strike, maturity, sigma, r):
 
 class TestFloatRangeEdges:
     @given(inputs=domain_inputs())
-    # S0 / K at 1e200 with sigma sqrt(T) subnormal, then at 1e-200 with
+    # S0 / K at 1e100 with sigma sqrt(T) subnormal, then at 1e-100 with
     # rT + 8.3 sigma sqrt(T) = 100
     @example(inputs=dict(kind=CALL, spot=1e100, strike=1e-100, maturity=1e-12, sigma=1e-320, r=0.0))
     @example(inputs=dict(kind=PUT, spot=1e-100, strike=1e100, maturity=1.0, sigma=edge_sigma(50.0, 1.0), r=50.0))
@@ -321,6 +321,9 @@ class TestFloatRangeEdges:
     @example(inputs=dict(kind=PUT, spot=1e100, strike=1e-100, maturity=1e17, sigma=edge_sigma(0.0, 1e17), r=0.0))
     @example(inputs=dict(kind=CALL, spot=1e-100, strike=1e100, maturity=1.0, sigma=edge_sigma(50.0, 1.0), r=50.0))
     @example(inputs=dict(kind=CALL, spot=1e100, strike=1e-100, maturity=25.0, sigma=0.25, r=3.5))
+    # contracts far below 1, which an absolute tolerance of 1e-10 prices 1e-4 off
+    @example(inputs=dict(kind=CALL, spot=1e-100, strike=1e-100, maturity=1.0, sigma=0.25, r=0.05))
+    @example(inputs=dict(kind=PUT, spot=1e-100, strike=2e-100, maturity=1.0, sigma=0.25, r=0.05))
     @settings(max_examples=200, deadline=None)
     def test_quadrature_agrees_with_the_closed_form_or_raises(self, inputs):
         c, m, _, scale = edge_case(**inputs)
@@ -329,7 +332,7 @@ class TestFloatRangeEdges:
         except QuadratureError:
             return
         expected = black_scholes_price(c, m)
-        assert abs(value - expected) <= max(1e-9 * scale, 1e-9)
+        assert abs(value - expected) <= 1e-9 * scale
 
 
 class TestPricedDomain:
