@@ -19,6 +19,8 @@ from .model import (
     Method,
     OptionContract,
     PricingResult,
+    _check_domain,
+    _check_grid,
     _solve_grid,
 )
 from .oracle import _scored
@@ -44,6 +46,8 @@ def solve_crank_nicolson(
     # first call times its solve and not the import
     import scipy.linalg.lapack  # noqa: F401
 
+    _check_domain(contract, market)
+    _check_grid(contract, disc)
     t_start = time.perf_counter()
     price, _, _ = _cn_grid(contract, market, disc, keep_surface=False)
     extra = {"n_space": disc.n_space, "n_time": disc.n_time}
@@ -57,4 +61,6 @@ def crank_nicolson_surface(
 ) -> np.ndarray:
     """Full backward-time price surface of shape ``(n_time + 1, n_space + 1)``
     (level 0 is the payoff)."""
+    _check_domain(contract, market)
+    _check_grid(contract, disc)
     return _cn_grid(contract, market, disc, keep_surface=True)[1]

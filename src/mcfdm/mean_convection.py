@@ -27,6 +27,7 @@ from .model import (
     OptionContract,
     PricingResult,
     _check_domain,
+    _check_grid,
     _real,
     _solve_grid,
 )
@@ -160,25 +161,29 @@ def solve_mcfdm(
     -------
     McfdmReport
         Pricing result whose ``extra`` carries the CFL margin
-        ``dt_max / dt`` and the oscillation flag (set when any interior
-        node exceeds the maximum of its previous-level neighborhood by more
-        than ``OSCILLATION_TOLERANCE`` in a single step).
+        ``dt_max / dt`` (dt = T / n_time) and the oscillation flag (set when
+        any interior node exceeds the maximum of its previous-level
+        neighborhood by more than ``OSCILLATION_TOLERANCE`` in a single step).
     """
     # before the stability bound, whose arithmetic needs the domain
     _check_domain(contract, market)
+    _check_grid(contract, disc)
     t_start = time.perf_counter()
+    dt = contract.maturity / disc.n_time
     dt_max = max_stable_dt(market, disc, config)
-    if disc.dt > dt_max:
+    if dt > dt_max:
         if not allow_unstable:
             # a bound of 0.0, or one so small that T / dt_max overflows,
             # leaves no time grid that meets it
             steps = contract.maturity / dt_max if dt_max > 0.0 else math.inf
-            n_time_min = math.ceil(steps) if math.isfinite(steps) else None
-            raise StabilityError(dt=disc.dt, dt_max=dt_max, n_time_min=n_time_min)
+            n_time_min = max(1, math.ceil(steps) - 1) if math.isfinite(steps) else None
+            # steps is rounded: its ceiling can be one count past the smallest
+            # or one short of it, and past 2^53 counts step by whole floats
+            while n_time_min is not None and contract.maturity / n_time_min > dt_max:
+                n_time_min = math.ceil(math.nextafter(n_time_min, math.inf))
+            raise StabilityError(dt=dt, dt_max=dt_max, n_time_min=n_time_min)
         logger.warning(
-            "running past the stability bound: dt=%.3e > dt_max=%.3e",
-            disc.dt,
-            dt_max,
+            "running past the stability bound: dt=%.3e > dt_max=%.3e", dt, dt_max
         )
     thetas = _theta_values(market, disc.nodes()[1:-1], disc.ds, config)
     price, levels, oscillation = _solve_grid(
@@ -190,7 +195,7 @@ def solve_mcfdm(
         "alpha_profile": config.alpha_profile.value,
         "n_space": disc.n_space,
         "n_time": disc.n_time,
-        "cfl_margin": dt_max / disc.dt,
+        "cfl_margin": dt_max / dt,
         "oscillation": oscillation,
     }
     result = _scored(Method.MCFDM, contract, market, price, t_start, extra)

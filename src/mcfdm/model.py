@@ -108,18 +108,17 @@ class OptionContract:
 
 @dataclass(frozen=True, slots=True)
 class Discretization:
-    """Uniform price/time grid: nodes S_i = i*ds for i in 0..n_space, steps of dt."""
+    """Uniform grid: nodes S_i = i*ds for i in 0..n_space, n_time steps of T / n_time."""
 
     s_max: float
     n_space: int
     n_time: int
     ds: float
-    dt: float
 
     def __post_init__(self) -> None:
         for name, minimum in (("n_space", 4), ("n_time", 1)):
             object.__setattr__(self, name, _count(name, getattr(self, name), minimum))
-        for name in ("s_max", "ds", "dt"):
+        for name in ("s_max", "ds"):
             object.__setattr__(self, name, _real(name, getattr(self, name)))
         # keeps sigma^2 S^2 finite in the priced domain; auto grids stay below 6e100
         if self.s_max > 1e101:
@@ -170,6 +169,14 @@ def _check_domain(contract: OptionContract, market: MarketParams) -> None:
         raise ValidationError(f"r*T + 8.3*sigma*sqrt(T) must be <= 100, got {exponent!r}")
 
 
+def _check_grid(contract: OptionContract, disc: Discretization) -> None:
+    """Raise a ValidationError unless the grid reaches above the spot and the
+    strike; interpolation clamps a spot at or past s_max to the top node."""
+    anchor = max(contract.spot, contract.strike)
+    if disc.s_max <= anchor:
+        raise ValidationError(f"s_max must exceed max(spot, strike)={anchor}, got {disc.s_max}")
+
+
 def payoff(contract: OptionContract, s):
     """Terminal payoff at price level(s) ``s``.
 
@@ -211,12 +218,13 @@ def _boundaries(
     market: MarketParams,
     disc: Discretization,
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Dirichlet values at S = 0 and S = s_max for tau = dt, 2 dt, ..., T.
+    """Dirichlet values at S = 0 and S = s_max for tau = dt, 2 dt, ..., n_time dt = T.
 
     Calls are worthless at S = 0 and worth ``s_max - K exp(-r tau)`` at the
     truncation; puts mirror this. Entry ``n - 1`` belongs to level ``n``.
     """
-    discounts = np.exp(-market.r * np.arange(1, disc.n_time + 1) * disc.dt)
+    dt = contract.maturity / disc.n_time
+    discounts = np.exp(-market.r * np.arange(1, disc.n_time + 1) * dt)
     discounted_strike = contract.strike * discounts
     zeros = np.zeros_like(discounts)
     if contract.kind is OptionKind.CALL:
@@ -438,14 +446,14 @@ def _solve_grid(
 ) -> tuple[float, np.ndarray | None, bool]:
     """Price at the spot, surface (``None`` unless ``keep_surface``) and
     oscillation flag of the payoff marched on ``disc``, with ``thetas`` as in
-    :func:`_operator` and ``implicit`` as in :func:`_march`."""
-    _check_domain(contract, market)
+    :func:`_operator` and ``implicit`` as in :func:`_march`. The engines
+    check the domain and the grid before they call it."""
     s = disc.nodes()
     final, levels, oscillation = _march(
         payoff(contract, s),
         _operator(market, s[1:-1], thetas, disc.ds),
         _boundaries(contract, market, disc),
-        disc.dt,
+        contract.maturity / disc.n_time,
         implicit=implicit,
         keep_surface=keep_surface,
     )
@@ -467,13 +475,11 @@ def build_grid(
     bool), used as given, and must exceed ``max(spot, strike)``.
     """
     n_space = _count("n_space", n_space, 4)
-    n_time = _count("n_time", n_time, 1)
     # a bool is a number to isinstance, but True is no price level
     if s_max != "auto" and (isinstance(s_max, bool) or not isinstance(s_max, numbers.Real)):
         raise ValidationError(f"s_max must be 'auto' or a number, got {s_max!r}")
-    anchor = max(contract.spot, contract.strike)
     if s_max == "auto":
-        target = 4.0 * anchor
+        target = 4.0 * max(contract.spot, contract.strike)
         ds = target / n_space
         node = round(contract.spot / ds)
         if 0 < node < n_space:
@@ -481,15 +487,7 @@ def build_grid(
         grid_max = ds * n_space
     else:
         grid_max = _real("s_max", s_max)
-        if grid_max <= anchor:
-            raise ValidationError(
-                f"s_max must exceed max(spot, strike)={anchor}, got {s_max}"
-            )
         ds = grid_max / n_space
-    return Discretization(
-        s_max=grid_max,
-        n_space=n_space,
-        n_time=n_time,
-        ds=ds,
-        dt=contract.maturity / n_time,
-    )
+    disc = Discretization(s_max=grid_max, n_space=n_space, n_time=n_time, ds=ds)
+    _check_grid(contract, disc)
+    return disc

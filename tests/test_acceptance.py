@@ -158,7 +158,7 @@ def test_criterion_4_theta_identities():
         payoff(contract, s),
         _operator(MARKET, nodes, np.zeros_like(nodes), disc.ds),
         _boundaries(contract, MARKET, disc),
-        disc.dt,
+        contract.maturity / disc.n_time,
         implicit=False,
         keep_surface=True,
     )
@@ -183,7 +183,8 @@ def test_criterion_5_cn_baseline():
     benchmark = call(7.0, 7.5)
 
     coarse_time = build_grid(benchmark, n_time=6)
-    assert coarse_time.dt >= 100.0 * max_stable_dt(MARKET, coarse_time, ThetaConfig())
+    explicit_bound = max_stable_dt(MARKET, coarse_time, ThetaConfig())
+    assert benchmark.maturity / coarse_time.n_time >= 100.0 * explicit_bound
     surface = crank_nicolson_surface(benchmark, MARKET, coarse_time)
     cap = coarse_time.s_max - 7.5 * math.exp(-0.05)
     assert surface.min() >= -1e-12

@@ -207,7 +207,7 @@ class TestSolveCrankNicolson:
         c = contract()
         disc = build_grid(c, n_time=6)
         explicit_bound = max_stable_dt(market(), disc, ThetaConfig())
-        assert disc.dt >= 100.0 * explicit_bound
+        assert c.maturity / disc.n_time >= 100.0 * explicit_bound
         values = crank_nicolson_surface(c, market(), disc)
         cap = disc.s_max - 7.5 * math.exp(-0.05)
         assert np.isfinite(values).all()
@@ -258,7 +258,7 @@ class TestSolveCrankNicolson:
                 payoff(c, s),
                 _operator(m, s[1:-1], 1.0, disc.ds),
                 _boundaries(c, m, disc),
-                disc.dt,
+                c.maturity / disc.n_time,
             )
             final, _, _ = _march(*args, implicit=True, keep_surface=False)
             reference = two_band_trapezoid(*args)
@@ -298,7 +298,7 @@ class TestSolveCrankNicolson:
 
         for step in (1, 3, 5):
             old, new = surface[step - 1], surface[step]
-            lhs = (new[1:-1] - old[1:-1]) / disc.dt
+            lhs = (new[1:-1] - old[1:-1]) / (c.maturity / disc.n_time)
             rhs = 0.5 * (spatial_operator(new) + spatial_operator(old))
             np.testing.assert_allclose(lhs, rhs, atol=1e-9)
 

@@ -42,7 +42,7 @@ def contract(**fields):
 
 
 def grid(**fields):
-    base = {"s_max": 10.0, "n_space": 10, "n_time": 5, "ds": 1.0, "dt": 0.1}
+    base = {"s_max": 10.0, "n_space": 10, "n_time": 5, "ds": 1.0}
     return Discretization(**{**base, **fields})
 
 
@@ -61,7 +61,6 @@ NUMBER_FIELDS = [
     ("ThetaConfig", "scaling", lambda v: ThetaConfig(scaling=v)),
     ("Discretization", "s_max", lambda v: grid(s_max=v)),
     ("Discretization", "ds", lambda v: grid(ds=v)),
-    ("Discretization", "dt", lambda v: grid(dt=v)),
     ("sample_terminal_price", "s0", lambda v: sample(s0=v)),
     ("sample_terminal_price", "t_total", lambda v: sample(t_total=v)),
     ("JobSpec", "s_max", lambda v: JobSpec(s_max=v)),
@@ -155,7 +154,7 @@ def inputs(kind):
     v = lambda value: typed(kind, value)
     market = MarketParams(r=v(0.0625), sigma=v(0.25))
     put = OptionContract(OptionKind.PUT, v(7.5), v(1.0), v(7.0))
-    disc = Discretization(s_max=v(16.0), n_space=32, n_time=128, ds=v(0.5), dt=v(2.0**-7))
+    disc = Discretization(s_max=v(16.0), n_space=32, n_time=128, ds=v(0.5))
     return v, market, put, disc
 
 
@@ -188,7 +187,7 @@ def held_bits(value):
         json.dumps(value.extra)
         return (held_bits(value.price), held_bits(value.abs_error), repr(value.extra))
     if isinstance(value, Discretization):
-        return tuple(held_bits(getattr(value, name)) for name in ("s_max", "ds", "dt"))
+        return tuple(held_bits(getattr(value, name)) for name in ("s_max", "ds"))
     assert type(value) is float
     return value.hex()
 
@@ -196,7 +195,7 @@ def held_bits(value):
 @pytest.mark.parametrize("kind", NUMBER_TYPES, ids=lambda kind: kind.__name__)
 def test_input_types_hold_python_floats(kind):
     _, market, put, disc = inputs(kind)
-    for owner, names in ((market, "r sigma"), (put, "strike maturity spot"), (disc, "s_max ds dt")):
+    for owner, names in ((market, "r sigma"), (put, "strike maturity spot"), (disc, "s_max ds")):
         for name in names.split():
             assert type(getattr(owner, name)) is float, name
     assert (market, put, disc) == inputs(float)[1:]
@@ -216,5 +215,5 @@ def test_hand_built_float32_grid_is_checked_in_double_precision():
     # float32 0.28 times 100 is 28 in float32, but 28.00000011920929 as doubles
     with pytest.raises(ValidationError, match="inconsistent grid"):
         Discretization(
-            s_max=np.float32(28.0), n_space=100, n_time=10, ds=np.float32(0.28), dt=0.1
+            s_max=np.float32(28.0), n_space=100, n_time=10, ds=np.float32(0.28)
         )

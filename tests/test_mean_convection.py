@@ -186,8 +186,8 @@ class TestConvectionFluxDifference:
 class TestExplicitStep:
     """One explicit step (``implicit=False``) of the march both engines share."""
 
-    def toy_disc(self, dt=0.01, n_time=100):
-        return Discretization(s_max=10.0, n_space=10, n_time=n_time, ds=1.0, dt=dt)
+    def toy_disc(self, n_time=100):
+        return Discretization(s_max=10.0, n_space=10, n_time=n_time, ds=1.0)
 
     def step(self, level, dt=0.01):
         s = np.arange(11.0)
@@ -347,6 +347,42 @@ class TestSolveMcfdm:
         assert excinfo.value.n_time_min is None
         assert "no time grid meets the bound" in str(excinfo.value)
 
+    @pytest.mark.parametrize("r, sigma, maturity, n_space, n_time_min", [
+        # T / dt_max rounds to a whole count whose step is just past dt_max
+        (0.0, 0.4, 2.0, 126, 5001),
+        (0.05, 0.25, 3.0, 215, 8620),
+        # T / dt_max rounds just above a count whose step is dt_max
+        (0.0, 0.25, 1.0, 57, 196),
+    ])
+    def test_remedy_is_the_smallest_admitted_n_time(self, r, sigma, maturity, n_space, n_time_min):
+        put = contract(kind=PUT, strike=7.5, spot=7.0, maturity=maturity)
+        m = market(r, sigma)
+        with pytest.raises(StabilityError) as excinfo:
+            solve_mcfdm(put, m, build_grid(put, n_space=n_space, n_time=n_time_min - 1))
+        assert excinfo.value.n_time_min == n_time_min
+        report = solve_mcfdm(put, m, build_grid(put, n_space=n_space, n_time=n_time_min))
+        assert report.result.extra["cfl_margin"] >= 1.0
+
+    @given(
+        kind=st.sampled_from([CALL, PUT]),
+        r=st.floats(0.0, 0.2),
+        sigma=st.floats(0.2, 0.6),
+        maturity=st.floats(0.1, 3.0),
+        n_space=st.integers(20, 60),
+    )
+    @settings(max_examples=100, deadline=None)
+    def test_gate_admits_the_remedy_and_refuses_one_step_fewer(
+        self, kind, r, sigma, maturity, n_space
+    ):
+        # dt_max < 0.07 here, so one step of T >= 0.1 is always refused
+        c, m = contract(kind=kind, strike=7.5, spot=7.0, maturity=maturity), market(r, sigma)
+        with pytest.raises(StabilityError) as excinfo:
+            solve_mcfdm(c, m, build_grid(c, n_space=n_space, n_time=1))
+        n_time_min = excinfo.value.n_time_min
+        solve_mcfdm(c, m, build_grid(c, n_space=n_space, n_time=n_time_min))
+        with pytest.raises(StabilityError):
+            solve_mcfdm(c, m, build_grid(c, n_space=n_space, n_time=n_time_min - 1))
+
     def test_allow_unstable_override_runs(self):
         c = contract(strike=7.5, spot=7.0)
         report = solve_mcfdm(
@@ -395,7 +431,7 @@ class TestSolveMcfdm:
             payoff(c, s),
             bands,
             _boundaries(c, market(), disc),
-            disc.dt,
+            c.maturity / disc.n_time,
             implicit=False,
             keep_surface=True,
         )
@@ -446,7 +482,18 @@ class TestSolveMcfdm:
         config = ThetaConfig(config.scaling, config.normalize, profile)
         disc = build_grid(c)
         report = solve_mcfdm(c, m, disc, config, allow_unstable=True)
-        assert report.result.extra["cfl_margin"] == max_stable_dt(m, disc, config) / disc.dt
+        dt = c.maturity / disc.n_time
+        assert report.result.extra["cfl_margin"] == max_stable_dt(m, disc, config) / dt
+
+    def test_cfl_margin_at_two_maturities_sharing_one_grid(self):
+        m, config = market(), ThetaConfig()
+        disc = build_grid(contract(kind=PUT, strike=7.5, spot=7.0))
+        margins = []
+        for maturity in (0.5, 1.0):
+            c = contract(kind=PUT, strike=7.5, spot=7.0, maturity=maturity)
+            margins.append(solve_mcfdm(c, m, disc, config).result.extra["cfl_margin"])
+            assert margins[-1] == max_stable_dt(m, disc, config) / (maturity / disc.n_time)
+        assert margins[0] == 2.0 * margins[1]
 
     def test_pinned_very_large_scaling_violates_stability(self):
         # regression pin: k=80 pushes the CFL bound below the default dt

@@ -15,6 +15,7 @@ from mcfdm import (
     PricingResult,
     ValidationError,
     build_grid,
+    crank_nicolson_surface,
     payoff,
     solve_crank_nicolson,
     solve_mcfdm,
@@ -228,7 +229,8 @@ def march_inputs(
     s = disc.nodes()
     thetas = _theta_values(market, s[1:-1], disc.ds, ThetaConfig(scaling=k))
     bands = _operator(market, s[1:-1], thetas, disc.ds)
-    return payoff(contract, s), bands, _boundaries(contract, market, disc), disc.dt
+    dt = contract.maturity / disc.n_time
+    return payoff(contract, s), bands, _boundaries(contract, market, disc), dt
 
 
 def assert_marches_agree(*args, implicit, keep_surface):
@@ -329,7 +331,7 @@ class TestMarch:
             bands = _operator(market, s[1:-1], thetas, disc.ds)
             final, _, oscillation = assert_marches_agree(
                 payoff(contract, s), bands, _boundaries(contract, market, disc),
-                disc.dt, implicit=False, keep_surface=True,
+                contract.maturity / disc.n_time, implicit=False, keep_surface=True,
             )
         assert np.isnan(final[1:-1]).all()
         assert not oscillation
@@ -391,10 +393,11 @@ class TestMarch:
         s = disc.nodes()
         bands = _operator(market, s[1:-1], np.ones(disc.n_space - 1), disc.ds)
         lower, center, upper = bands
-        assert min(lower.min(), (1.0 + disc.dt * center).min(), upper.min()) >= 0.0
+        dt = contract.maturity / disc.n_time
+        assert min(lower.min(), (1.0 + dt * center).min(), upper.min()) >= 0.0
         plateau = np.full(n_steps, 1e9)
         _, _, oscillation = assert_marches_agree(
-            np.full(s.size, 1e9), bands, (plateau, plateau), disc.dt,
+            np.full(s.size, 1e9), bands, (plateau, plateau), dt,
             implicit=False, keep_surface=False,
         )
         assert oscillation
@@ -439,7 +442,8 @@ class TestScanSkip:
         s = disc.nodes()
         bands = _operator(market, s[1:-1], np.ones(disc.n_space - 1), disc.ds)
         plateau = np.full(disc.n_time, 1e9)
-        assert scan_can_fire(np.full(s.size, 1e9), bands, (plateau, plateau), disc.dt)
+        dt = contract.maturity / disc.n_time
+        assert scan_can_fire(np.full(s.size, 1e9), bands, (plateau, plateau), dt)
 
     def test_scans_negative_data(self):
         # a level below zero rises towards zero under weights that sum to
@@ -615,9 +619,23 @@ class TestBuildGrid:
         with pytest.raises(ValidationError, match="n_space must be an int >= 4, got '100'"):
             build_grid(make_contract(), n_space="100")
 
-    def test_dt_is_maturity_over_n_time(self):
-        disc = build_grid(make_contract(maturity=0.5), n_space=50, n_time=200)
-        assert disc.dt == pytest.approx(0.0025, abs=1e-15)
+    def test_grid_does_not_depend_on_the_maturity(self):
+        assert build_grid(make_contract(maturity=0.5)) == build_grid(make_contract(maturity=1.0))
+
+    @pytest.mark.parametrize("engine", [
+        lambda c, m, disc: solve_mcfdm(c, m, disc).result,
+        solve_crank_nicolson,
+    ], ids=["MCFDM", "CFDM"])
+    def test_one_grid_prices_a_second_maturity_as_its_own_grid(self, engine):
+        # a grid once carried the step of the maturity it was built for, so
+        # a half-year contract on a one-year grid was marched a whole year
+        m = MarketParams(r=0.05, sigma=0.25)
+        shared = build_grid(make_contract(PUT, strike=7.5, spot=7.0, maturity=1.0))
+        half = make_contract(PUT, strike=7.5, spot=7.0, maturity=0.5)
+        result = engine(half, m, shared)
+        own = engine(half, m, build_grid(half))
+        assert (result.price, result.abs_error) == (own.price, own.abs_error)
+        assert result.abs_error <= 5e-3
 
     @given(
         spot=st.floats(0.5, 50.0),
@@ -636,18 +654,23 @@ class TestBuildGrid:
 
 
 class TestDiscretization:
+    def test_holds_no_time_step(self):
+        # the step is the contract's maturity over n_time
+        fields = [f.name for f in dataclasses.fields(Discretization)]
+        assert fields == ["s_max", "n_space", "n_time", "ds"]
+
     def test_inconsistent_ds_rejected(self):
         with pytest.raises(ValidationError):
-            Discretization(s_max=10.0, n_space=10, n_time=5, ds=0.9, dt=0.1)
+            Discretization(s_max=10.0, n_space=10, n_time=5, ds=0.9)
 
     def test_n_space_minimum(self):
         with pytest.raises(ValidationError):
-            Discretization(s_max=3.0, n_space=3, n_time=5, ds=1.0, dt=0.1)
+            Discretization(s_max=3.0, n_space=3, n_time=5, ds=1.0)
 
     @pytest.mark.parametrize("n_time", [True, False, 1.0])
     def test_n_time_that_is_no_int_rejected(self, n_time):
         with pytest.raises(ValidationError, match="n_time must be an int >= 1"):
-            Discretization(s_max=10.0, n_space=10, n_time=n_time, ds=1.0, dt=0.1)
+            Discretization(s_max=10.0, n_space=10, n_time=n_time, ds=1.0)
 
     @pytest.mark.parametrize("engine", [solve_crank_nicolson, solve_mcfdm])
     def test_s_max_above_the_domain_rejected_before_an_engine_runs(self, engine):
@@ -655,10 +678,21 @@ class TestDiscretization:
         # raised a bare OverflowError
         c, m = make_contract(), MarketParams(r=0.05, sigma=0.25)
         with pytest.raises(ValidationError, match=r"s_max must be <= 1e101, got 1e\+200"):
-            engine(c, m, Discretization(s_max=1e200, n_space=4, n_time=1, ds=2.5e199, dt=1.0))
+            engine(c, m, Discretization(s_max=1e200, n_space=4, n_time=1, ds=2.5e199))
+
+    @pytest.mark.parametrize("engine", [solve_crank_nicolson, crank_nicolson_surface, solve_mcfdm])
+    def test_grid_below_the_spot_rejected_before_an_engine_runs(self, engine):
+        # interpolation once clamped the spot to the top node and priced the
+        # put at 0.0; one step here is past the explicit bound too, and the
+        # grid is named first
+        c, m = make_contract(PUT, strike=7.5, spot=7.0), MarketParams(r=0.05, sigma=0.25)
+        disc = Discretization(s_max=5.0, n_space=100, n_time=1, ds=0.05)
+        message = r"s_max must exceed max\(spot, strike\)=7.5, got 5.0"
+        with pytest.raises(ValidationError, match=message):
+            engine(c, m, disc)
 
     def test_nodes_are_uniform(self):
-        disc = Discretization(s_max=10.0, n_space=10, n_time=5, ds=1.0, dt=0.1)
+        disc = Discretization(s_max=10.0, n_space=10, n_time=5, ds=1.0)
         np.testing.assert_allclose(disc.nodes(), np.arange(11.0), atol=1e-15)
 
 

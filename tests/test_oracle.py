@@ -342,7 +342,7 @@ class TestPricedDomain:
     def refusals(c, m):
         """The ValidationError of each engine, None where one priced."""
         # an ordinary grid, since build_grid may itself refuse c's auto s_max
-        grid = Discretization(s_max=22.0, n_space=4, n_time=1, ds=5.5, dt=c.maturity)
+        grid = Discretization(s_max=22.0, n_space=4, n_time=1, ds=5.5)
         engines = {
             "closed form": lambda: black_scholes_price(c, m),
             "quadrature": lambda: risk_neutral_integral_price(c, m),
