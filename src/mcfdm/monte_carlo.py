@@ -4,16 +4,17 @@ Paths are generated in fixed-size blocks, each driven by an independent
 jump of a counter-based Philox stream keyed on the seed. Block statistics
 are reduced in block order, so the estimate is bit-identical for any
 worker count and reproducible from the seed alone. Each block is streamed
-through a few time steps at a time, so a block never holds more than
-``_CHUNK_ROWS`` rows of draws.
+through a few time steps at a time, in a chunk buffer that the calling
+thread lends, so a marching thread never holds more than ``_CHUNK_ROWS``
+rows of draws.
 """
 
 from __future__ import annotations
 
 import math
 import os
+import threading
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -116,8 +117,13 @@ def _block_stats(
     config: McConfig,
     block_index: int,
     m: int,
+    buf: np.ndarray,
 ) -> tuple[float, float]:
-    """The sum of the block's payoffs and the sum of their squares."""
+    """The sum of the block's payoffs and the sum of their squares.
+
+    The block's draws go through ``buf``, a flat float buffer of at least
+    ``min(_CHUNK_ROWS, n_time_steps) * m`` values, which it overwrites.
+    """
     # loaded here so that importing the package does not pay for
     # scipy.special; price_monte_carlo loads it before its clock starts
     from scipy.special import ndtri
@@ -126,7 +132,11 @@ def _block_stats(
     n_steps = config.n_time_steps
     dt = contract.maturity / n_steps
     st = np.full(m, contract.spot, dtype=float)
-    chunk = np.empty((min(_CHUNK_ROWS, n_steps), m))
+    # a contiguous prefix: Generator.random(out=) refuses a strided view,
+    # so a block of fewer paths than the buffer was sized for cannot take
+    # a column slice of it
+    rows = min(_CHUNK_ROWS, n_steps)
+    chunk = buf[: rows * m].reshape(rows, m)
     for start in range(0, n_steps, _CHUNK_ROWS):
         # each uniform is one Philox output x as ((x >> 11) + 0.5) / 2^53,
         # so drawing the block a chunk at a time reproduces the whole-block
@@ -159,12 +169,17 @@ def price_monte_carlo(
     """Price the contract by simulation.
 
     The discounted mean payoff is returned with its standard error in
-    ``extra["se"]`` (``None`` for a single path). Blocks may be evaluated
-    by a thread pool, but the reduction always runs in block order, so the
-    result does not depend on ``n_workers``. ``None`` chooses the count:
-    one thread per usable CPU when each block marches at least
-    ``_POOL_MIN_STEPS`` steps, else one. No more threads run than there are
-    blocks, and ``extra["n_workers"]`` records how many ran. Raises
+    ``extra["se"]`` (``None`` for a single path). ``n_workers`` threads
+    march the blocks, the calling thread among them: with n of them, thread
+    w marches blocks w, w + n, w + 2n, ... (the caller is w = 0), so only
+    n − 1 threads start and a serial call starts none. Each thread marches
+    into one chunk buffer that the caller allocates for the call. The
+    reduction always runs in block order, so the result does not depend on
+    ``n_workers``. ``None`` chooses the count: one thread per usable CPU
+    when each block marches at least ``_POOL_MIN_STEPS`` steps, else one.
+    No more threads march than there are blocks, and ``extra["n_workers"]``
+    records how many marched, the caller included. An error in any block
+    is raised here once every thread has stopped. Raises
     :class:`ValidationError` outside the priced domain.
     """
     _check_domain(contract, market)
@@ -177,25 +192,35 @@ def price_monte_carlo(
 
     t_start = time.perf_counter()
     n = config.n_paths
-    sizes = [
-        (b, min(_BLOCK, n - b * _BLOCK)) for b in range((n + _BLOCK - 1) // _BLOCK)
-    ]
+    sizes = [min(_BLOCK, n - start) for start in range(0, n, _BLOCK)]
     n_workers = min(n_workers, len(sizes))
-    if n_workers == 1:
-        stats = [
-            _block_stats(contract, market, config, b, m) for b, m in sizes
-        ]
-    else:
-        # numpy's error state is a context variable, which pool threads do
-        # not inherit, so each task runs under the caller's
-        err = np.geterr()
+    # allocated by the caller, once per call: a thread that allocated its
+    # own chunk for each block would grow a malloc arena of its own
+    bufs = np.empty((n_workers, min(_CHUNK_ROWS, config.n_time_steps) * sizes[0]))
+    stats = [(0.0, 0.0)] * len(sizes)
+    failures: list[BaseException] = []
+    # numpy's error state is a context variable, which a new thread does
+    # not inherit, so every march runs under the caller's
+    err = np.geterr()
 
-        def block(bm: tuple[int, int]) -> tuple[float, float]:
+    def march(w: int) -> None:
+        try:
             with np.errstate(**err):
-                return _block_stats(contract, market, config, *bm)
+                for b in range(w, len(sizes), n_workers):
+                    if failures:
+                        return
+                    stats[b] = _block_stats(contract, market, config, b, sizes[b], bufs[w])
+        except BaseException as exc:
+            failures.append(exc)
 
-        with ThreadPoolExecutor(max_workers=n_workers) as pool:
-            stats = list(pool.map(block, sizes))
+    helpers = [threading.Thread(target=march, args=(w,)) for w in range(1, n_workers)]
+    for thread in helpers:
+        thread.start()
+    march(0)
+    for thread in helpers:
+        thread.join()
+    if failures:
+        raise failures[0]
     total = 0.0
     total_sq = 0.0
     for block_sum, block_sq in stats:

@@ -4,8 +4,13 @@ import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import settings
 
 import mcfdm
+
+# a deeper property run loads this profile (--hypothesis-profile=replayable),
+# so that each failure prints the blob that @reproduce_failure replays
+settings.register_profile("replayable", print_blob=True)
 
 
 @pytest.fixture

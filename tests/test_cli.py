@@ -1117,7 +1117,7 @@ class TestMain:
         assert row["error"] == "solver returned a non-finite price nan"
 
     def test_diverging_pooled_monte_carlo_prints_no_runtime_warning(self, fresh_python):
-        # two blocks of 64 steps run on the thread pool wherever two CPUs
+        # two blocks of 64 steps run on two threads wherever two CPUs
         # are usable; the priced domain keeps every path finite, so a stubbed
         # payoff overflows into inf, inf - inf is NaN and so is the price
         proc = fresh_python(

@@ -7,6 +7,8 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from draws import examples
+
 # loaded with the module, so that no Hypothesis example pays the march's
 # lazy import of LAPACK (about 280 ms) inside its 200 ms deadline
 import scipy.linalg.lapack  # noqa: F401
@@ -166,7 +168,7 @@ class TestThomasSolve:
             [0.0] * 8 + [1.0, 0.0],
         )
     )
-    @settings(max_examples=60)
+    @settings(max_examples=examples(60))
     def test_multiply_round_trip(self, case):
         lower, bulk, upper, old = map(np.array, case)
         bands = (lower, -3.0 - bulk, upper)
@@ -326,7 +328,7 @@ class TestSolveCrankNicolson:
         maturity=st.floats(0.25, 1.0),
         r=st.floats(0.0, 0.1),
     )
-    @settings(max_examples=40, deadline=None)
+    @settings(max_examples=examples(40), deadline=None)
     def test_agrees_with_unit_theta_mcfdm(self, kind, spot, strike, maturity, r):
         # both are the shared march on the central stencil; they differ only
         # in the time step, so their gap is the time discretization error

@@ -10,6 +10,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from draws import examples
+
 from mcfdm import (
     AlphaProfile,
     Discretization,
@@ -141,6 +143,7 @@ class TestThetaAt:
         ds=st.floats(0.01, 0.4),
         normalize=st.booleans(),
     )
+    @settings(max_examples=examples(100))
     def test_scaling_linearity_exact(self, k, s, ds, normalize):
         m = market()
         nodes = np.array([s])
@@ -232,7 +235,7 @@ class TestExplicitStep:
         a=st.floats(-2.0, 2.0),
         b=st.floats(-2.0, 2.0),
     )
-    @settings(max_examples=50)
+    @settings(max_examples=examples(50))
     def test_linear_field_consistency(self, a, b):
         # a linear field has zero second difference, so the stencil reduces
         # to dt*(r*S*a - r*(a*S+b)) at every interior node
@@ -370,7 +373,7 @@ class TestSolveMcfdm:
         maturity=st.floats(0.1, 3.0),
         n_space=st.integers(20, 60),
     )
-    @settings(max_examples=100, deadline=None)
+    @settings(max_examples=examples(100), deadline=None)
     def test_gate_admits_the_remedy_and_refuses_one_step_fewer(
         self, kind, r, sigma, maturity, n_space
     ):

@@ -7,6 +7,8 @@ import pytest
 from hypothesis import event, given, settings
 from hypothesis import strategies as st
 
+from draws import examples
+
 from mcfdm import (
     Discretization,
     MarketParams,
@@ -91,6 +93,7 @@ class TestPayoff:
         s=st.floats(0.0, 100.0),
         strike=st.floats(0.01, 50.0),
     )
+    @settings(max_examples=examples(100))
     def test_nonnegative_and_parity_identity(self, s, strike):
         call = OptionContract(kind=CALL, strike=strike, maturity=1.0, spot=1.0)
         put = OptionContract(kind=PUT, strike=strike, maturity=1.0, spot=1.0)
@@ -138,6 +141,7 @@ class TestBoundaryValue:
         strike=st.floats(0.5, 20.0),
         r=st.floats(0.0, 0.2),
     )
+    @settings(max_examples=examples(100))
     def test_tau_zero_matches_payoff_at_edges(self, kind, strike, r):
         contract = OptionContract(kind=kind, strike=strike, maturity=1e-15, spot=strike)
         market = MarketParams(r=r, sigma=0.25)
@@ -525,7 +529,7 @@ class TestScanSkip:
         assert oscillation is False
 
     @given(data=st.data())
-    @settings(max_examples=150, deadline=None)
+    @settings(max_examples=examples(150), deadline=None)
     def test_a_skip_is_never_a_missed_flag(self, data):
         # monotone bands and nonnegative data, with zero boundary columns
         # (and then, sometimes, a negative weight next to one) and levels
@@ -642,7 +646,7 @@ class TestBuildGrid:
         strike=st.floats(0.5, 50.0),
         n_space=st.integers(4, 400),
     )
-    @settings(max_examples=200)
+    @settings(max_examples=examples(200))
     def test_auto_grid_invariants(self, spot, strike, n_space):
         contract = OptionContract(kind=CALL, strike=strike, maturity=1.0, spot=spot)
         disc = build_grid(contract, n_space=n_space, n_time=10)

@@ -1,4 +1,6 @@
 import math
+import sys
+import threading
 import tracemalloc
 import warnings
 
@@ -6,6 +8,8 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+
+from draws import examples
 
 from mcfdm import (
     MarketParams,
@@ -244,21 +248,70 @@ class TestPriceMonteCarlo:
     def test_default_count_follows_the_steps_blocks_and_cpus(
         self, monkeypatch, cpus, n_paths, n_steps, pooled
     ):
-        pools = []
+        marchers = []
+        live = []
 
-        class RecordingPool(monte_carlo.ThreadPoolExecutor):
-            def __init__(self, max_workers):
-                pools.append(max_workers)
-                super().__init__(max_workers=max_workers)
+        def recorded(*args, _real=monte_carlo._block_stats):
+            marchers.append(threading.current_thread())
+            live.append(threading.active_count())
+            return _real(*args)
 
         monkeypatch.setattr(monte_carlo, "_usable_cpus", lambda: cpus)
-        monkeypatch.setattr(monte_carlo, "ThreadPoolExecutor", RecordingPool)
+        monkeypatch.setattr(monte_carlo, "_block_stats", recorded)
         config = McConfig(n_paths=n_paths, seed=3, n_time_steps=n_steps)
+        before = threading.active_count()
         result = price_monte_carlo(contract(), market(), config)
         ran = min(2, cpus) if pooled else 1
         assert result.extra["n_workers"] == ran
-        # a serial run starts no pool; a pooled one gets the same count
-        assert pools == ([] if ran == 1 else [ran])
+        assert len(marchers) == len(range(0, n_paths, monte_carlo._BLOCK))
+        # the caller marches on every count and starts one thread fewer
+        # than the count, so a serial run starts none
+        assert threading.current_thread() in marchers
+        assert len(set(marchers)) == ran
+        assert max(live) == before + ran - 1
+
+    @pytest.mark.parametrize("workers", [2, 4, 5, None])
+    def test_pooled_blocks_keep_their_bits_under_fast_thread_switching(self, workers):
+        # five blocks, the last of one path, which marches in a prefix of its
+        # thread's buffer (on the caller's thread, or the fifth thread's);
+        # 9 steps leave a one-row last chunk. Threads switch every
+        # microsecond, so a block whose statistics were lost or written to
+        # another block's slot would change the sums
+        config = McConfig(n_paths=4 * monte_carlo._BLOCK + 1, seed=8, n_time_steps=9)
+        serial = price_monte_carlo(contract(), market(), config, n_workers=1)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            pooled = price_monte_carlo(contract(), market(), config, n_workers=workers)
+        finally:
+            sys.setswitchinterval(interval)
+        assert pooled.price == serial.price
+        assert pooled.extra["se"] == serial.extra["se"]
+
+    # with two threads the caller marches block 0 and the other block 1
+    @pytest.mark.parametrize(
+        ("failing", "on_caller"), [(0, True), (1, False)], ids=["caller", "pool-thread"]
+    )
+    def test_a_failing_block_raises_and_leaves_no_thread(
+        self, monkeypatch, failing, on_caller
+    ):
+        raised_on = []
+        real = monte_carlo._block_stats
+
+        def failing_block(contract, market, config, block_index, *args):
+            if block_index == failing:
+                raised_on.append(threading.current_thread())
+                raise ZeroDivisionError("block failed")
+            return real(contract, market, config, block_index, *args)
+
+        monkeypatch.setattr(monte_carlo, "_block_stats", failing_block)
+        config = McConfig(n_paths=2 * monte_carlo._BLOCK, seed=2, n_time_steps=40)
+        before = threading.active_count()
+        with pytest.raises(ZeroDivisionError, match="block failed"):
+            price_monte_carlo(contract(), market(), config, n_workers=2)
+        assert len(raised_on) == 1
+        assert (raised_on[0] is threading.current_thread()) == on_caller
+        assert threading.active_count() == before
 
     def test_recorded_count_is_capped_at_the_blocks(self):
         one_block = McConfig(n_paths=monte_carlo._BLOCK, seed=3, n_time_steps=1)
@@ -270,7 +323,7 @@ class TestPriceMonteCarlo:
 
     def test_pooled_blocks_run_under_the_callers_error_state(self, monkeypatch):
         # the priced domain keeps every path finite, so a stubbed payoff
-        # overflows into inf, and inf - inf gives NaN; a pool thread does not
+        # overflows into inf, and inf - inf gives NaN; a started thread does not
         # inherit the caller's np.errstate
         monkeypatch.setattr(monte_carlo, "payoff", overflowing_payoff)
         config = McConfig(n_paths=8192, seed=5, n_time_steps=64)
@@ -286,7 +339,7 @@ class TestPriceMonteCarlo:
         seed=st.integers(0, 2**64 - 1),
         workers=st.integers(2, 5),
     )
-    @settings(max_examples=25, deadline=None)
+    @settings(max_examples=examples(25), deadline=None)
     def test_worker_equality_holds_for_any_seed(self, n_paths, seed, workers):
         config = McConfig(n_paths=n_paths, seed=seed)
         serial = price_monte_carlo(contract(), market(), config, n_workers=1)

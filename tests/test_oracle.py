@@ -6,6 +6,8 @@ import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
+from draws import examples
+
 import mcfdm.oracle
 from mcfdm import (
     Discretization,
@@ -70,10 +72,12 @@ class TestStdNormalCdf:
                 std_normal_cdf(x)
 
     @given(x=st.floats(-38.0, 38.0))
+    @settings(max_examples=examples(100))
     def test_symmetry(self, x):
         assert abs(std_normal_cdf(x) + std_normal_cdf(-x) - 1.0) <= 1e-15
 
     @given(x=st.floats(-10.0, 10.0), y=st.floats(-10.0, 10.0))
+    @settings(max_examples=examples(100))
     def test_monotone_and_bounded(self, x, y):
         lo, hi = sorted((x, y))
         n_lo, n_hi = std_normal_cdf(lo), std_normal_cdf(hi)
@@ -99,7 +103,7 @@ class TestBlackScholesPrice:
         sigma=st.sampled_from([0.1, 0.25, 0.5]),
         maturity=st.sampled_from([0.25, 0.5, 1.0]),
     )
-    @settings(max_examples=300)
+    @settings(max_examples=examples(300))
     def test_parity_and_no_arbitrage_bounds(self, spot, strike, r, sigma, maturity):
         m = MarketParams(r=r, sigma=sigma)
         call = OptionContract(kind=CALL, strike=strike, maturity=maturity, spot=spot)
@@ -306,7 +310,7 @@ class TestFloatRangeEdges:
     @example(inputs=dict(kind=CALL, spot=1e-100, strike=1e100, maturity=1e17, sigma=edge_sigma(0.0, 1e17), r=0.0))
     # e^-rT at its floor e^-100, with sigma sqrt(T) subnormal
     @example(inputs=dict(kind=PUT, spot=1e-100, strike=1e100, maturity=10.0, sigma=1e-320, r=10.0 - 1e-14))
-    @settings(max_examples=500)
+    @settings(max_examples=examples(500))
     def test_closed_form_stays_within_the_no_arbitrage_bounds(self, inputs):
         c, m, df_strike, scale = edge_case(**inputs)
         price = black_scholes_price(c, m)
@@ -324,7 +328,7 @@ class TestFloatRangeEdges:
     # contracts far below 1, which an absolute tolerance of 1e-10 prices 1e-4 off
     @example(inputs=dict(kind=CALL, spot=1e-100, strike=1e-100, maturity=1.0, sigma=0.25, r=0.05))
     @example(inputs=dict(kind=PUT, spot=1e-100, strike=2e-100, maturity=1.0, sigma=0.25, r=0.05))
-    @settings(max_examples=200, deadline=None)
+    @settings(max_examples=examples(200), deadline=None)
     def test_quadrature_agrees_with_the_closed_form_or_raises(self, inputs):
         c, m, _, scale = edge_case(**inputs)
         try:
@@ -414,7 +418,7 @@ class TestPricedDomain:
     @example(kind=CALL, spot=3.8e298, strike=8.5e-261, maturity=25.0, sigma=0.25, r=10.0)
     # (r + sigma^2 / 2) T overflows at a subnormal maturity with sigma sqrt(T) = 1
     @example(kind=CALL, spot=1.0, strike=1.0, maturity=1e-310, sigma=1e155, r=0.0)
-    @settings(max_examples=200, deadline=None)
+    @settings(max_examples=examples(200), deadline=None)
     def test_inputs_outside_the_domain_are_refused(self, **inputs):
         assume(not in_domain(**{k: v for k, v in inputs.items() if k != "kind"}))
         c, m, _, _ = edge_case(**inputs)
