@@ -8,9 +8,11 @@ from hypothesis import settings
 
 import mcfdm
 
-# a deeper property run loads this profile (--hypothesis-profile=replayable),
-# so that each failure prints the blob that @reproduce_failure replays
-settings.register_profile("replayable", print_blob=True)
+# a deeper property run loads this profile (--hypothesis-profile=hunt): it
+# draws new examples on every run, also where Hypothesis's own "ci" profile,
+# loaded whenever CI is set, would derandomize them, and each failure prints
+# the blob that @reproduce_failure replays
+settings.register_profile("hunt", derandomize=False, print_blob=True)
 
 
 @pytest.fixture

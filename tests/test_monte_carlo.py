@@ -6,7 +6,7 @@ import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from draws import examples
@@ -270,24 +270,6 @@ class TestPriceMonteCarlo:
         assert len(set(marchers)) == ran
         assert max(live) == before + ran - 1
 
-    @pytest.mark.parametrize("workers", [2, 4, 5, None])
-    def test_pooled_blocks_keep_their_bits_under_fast_thread_switching(self, workers):
-        # five blocks, the last of one path, which marches in a prefix of its
-        # thread's buffer (on the caller's thread, or the fifth thread's);
-        # 9 steps leave a one-row last chunk. Threads switch every
-        # microsecond, so a block whose statistics were lost or written to
-        # another block's slot would change the sums
-        config = McConfig(n_paths=4 * monte_carlo._BLOCK + 1, seed=8, n_time_steps=9)
-        serial = price_monte_carlo(contract(), market(), config, n_workers=1)
-        interval = sys.getswitchinterval()
-        sys.setswitchinterval(1e-6)
-        try:
-            pooled = price_monte_carlo(contract(), market(), config, n_workers=workers)
-        finally:
-            sys.setswitchinterval(interval)
-        assert pooled.price == serial.price
-        assert pooled.extra["se"] == serial.extra["se"]
-
     # with two threads the caller marches block 0 and the other block 1
     @pytest.mark.parametrize(
         ("failing", "on_caller"), [(0, True), (1, False)], ids=["caller", "pool-thread"]
@@ -334,17 +316,31 @@ class TestPriceMonteCarlo:
         assert [str(w.message) for w in caught] == []
         assert math.isnan(result.price)
 
+    # five blocks, the last of one path, which marches in a prefix of its
+    # thread's buffer: on the caller's thread with two threads, on the fifth
+    # thread with five; 9 steps leave a one-row last chunk
+    @example(n_paths=4 * monte_carlo._BLOCK + 1, seed=8, workers=2, n_steps=9)
+    @example(n_paths=4 * monte_carlo._BLOCK + 1, seed=8, workers=5, n_steps=9)
     @given(
         n_paths=st.integers(1, 10_000),
         seed=st.integers(0, 2**64 - 1),
         workers=st.integers(2, 5),
+        n_steps=st.integers(1, 9),
     )
     @settings(max_examples=examples(25), deadline=None)
-    def test_worker_equality_holds_for_any_seed(self, n_paths, seed, workers):
-        config = McConfig(n_paths=n_paths, seed=seed)
+    def test_worker_equality_holds_for_any_seed(self, n_paths, seed, workers, n_steps):
+        config = McConfig(n_paths=n_paths, seed=seed, n_time_steps=n_steps)
         serial = price_monte_carlo(contract(), market(), config, n_workers=1)
-        pooled = price_monte_carlo(contract(), market(), config, n_workers=workers)
+        # threads switch every microsecond, so a block whose statistics were
+        # lost or written to another block's slot would change the sums
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            pooled = price_monte_carlo(contract(), market(), config, n_workers=workers)
+        finally:
+            sys.setswitchinterval(interval)
         assert pooled.price == serial.price
+        assert pooled.extra["se"] == serial.extra["se"]
 
     def test_single_path_has_no_standard_error(self):
         result = price_monte_carlo(contract(), market(), McConfig(n_paths=1))
