@@ -300,8 +300,13 @@ def _march(
     nodes). In the Crank-Nicolson step the explicit matrix I + dt/2 L is
     2I - A for the implicit matrix A = I - dt/2 L, so the step
     A^-1 ((2I - A) u + beta) = A^-1 (2u + beta) - u needs no explicit half:
-    A is factored once, and each step doubles u, adds the boundary terms
-    beta of both levels, solves into the ring row and subtracts u.
+    A is factored once. Each block's interior rows start as beta: the
+    boundary terms of both levels at the two edge nodes, -0.0 between them.
+    A step is then three calls into its ring row: BLAS ``daxpy`` adds 2u,
+    LAPACK solves with its arguments bound once per row, and ``daxpy``
+    subtracts u. 2u and -u are exact, and x + -0.0 is x with the sign of a
+    zero kept, so a step has the bits of (u + u) + beta solved, minus u.
+    A zero edge term is written too: +0.0 turns 2u = -0.0 into +0.0.
 
     The diagonal similarity S = D^-1 A D with D = diag(s), s_0 = 1 and
     s_{i+1} = s_i sqrt(A[i+1, i] / A[i, i+1]) is symmetric when s is finite
@@ -347,6 +352,7 @@ def _march(
     if implicit:
         # loaded here so that the explicit scheme never pays for
         # scipy.linalg; timed callers load it before their clock starts
+        from scipy.linalg.blas import daxpy
         from scipy.linalg.lapack import dgttrf, dgttrs, dpttrf, dpttrs
 
         half_dt = 0.5 * dt
@@ -377,6 +383,10 @@ def _march(
             scale = np.ones_like(diagonal)
         ring[0, 1:-1] /= scale
         upper_weight = i_upper[-1] / scale[-1]
+        # per ring row: the level before it, its interior, and every
+        # argument of its solve, bound once
+        interior = width - 2
+        rows = [(mid, inner, (*factors, inner, *trailing)) for _, mid, _, inner in steps]
     else:
         e_lower = dt * lower
         e_center = 1.0 + dt * center
@@ -388,7 +398,7 @@ def _march(
     levels = np.empty((n_steps + 1, width)) if keep_surface else None
     if keep_surface:
         levels[0] = level
-    multiply, add, subtract = np.multiply, np.add, np.subtract
+    multiply, add = np.multiply, np.add
     oscillation = False
     for start in range(0, n_steps, _MARCH_ROWS):
         m = min(_MARCH_ROWS, n_steps - start)
@@ -396,17 +406,16 @@ def _march(
         block[:, 0] = bc_lower[start : start + m]
         block[:, -1] = bc_upper[start : start + m]
         if implicit:
-            # D^-1 beta: each edge's term of the previous and the new level
-            lower_terms = (i_lower[0] * (ring[:m, 0] + block[:, 0])).tolist()
-            upper_terms = (upper_weight * (ring[:m, -1] + block[:, -1])).tolist()
-            for (_, mid, _, inner), lower_term, upper_term in zip(
-                steps, lower_terms, upper_terms
-            ):
-                add(mid, mid, inner)
-                inner[0] += lower_term
-                inner[-1] += upper_term
-                solve(*factors, inner, *trailing)
-                subtract(inner, mid, inner)
+            # each row's interior starts as D^-1 beta: each edge's term of the
+            # previous and the new level at its edge node (a grid has at least
+            # three interior nodes), -0.0 between them
+            block[:, 1:-1] = -0.0
+            block[:, 1] = i_lower[0] * (ring[:m, 0] + block[:, 0])
+            block[:, -2] = upper_weight * (ring[:m, -1] + block[:, -1])
+            for mid, inner, args in rows[:m]:
+                daxpy(mid, inner, interior, 2.0)
+                solve(*args)
+                daxpy(mid, inner, interior, -1.0)
         else:
             for left, mid, right, inner in steps[:m]:
                 multiply(e_lower, left, inner)

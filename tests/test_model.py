@@ -238,11 +238,20 @@ def march_inputs(
 
 
 def assert_marches_agree(*args, implicit, keep_surface):
+    """The ring march and ``reference_march`` agree: by bytes for an
+    implicit march, so the sign of a zero counts, and by value, NaN equal
+    to NaN, for an explicit one."""
     ring = _march(*args, implicit=implicit, keep_surface=keep_surface)
     reference = reference_march(*args, implicit=implicit, keep_surface=keep_surface)
-    assert np.array_equal(ring[0], reference[0], equal_nan=True)
+
+    def same(a, b):
+        if implicit:
+            return a.shape == b.shape and a.tobytes() == b.tobytes()
+        return np.array_equal(a, b, equal_nan=True)
+
+    assert same(ring[0], reference[0])
     if keep_surface:
-        assert np.array_equal(ring[1], reference[1], equal_nan=True)
+        assert same(ring[1], reference[1])
     else:
         assert ring[1] is None
     assert ring[2] is reference[2]
@@ -289,6 +298,49 @@ class TestMarch:
         assert_marches_agree(
             level, bands, boundaries, dt, implicit=True, keep_surface=True
         )
+
+    @pytest.mark.parametrize("case", ["level", "last column entry"])
+    @pytest.mark.parametrize("edge", ["lower", "upper"])
+    @pytest.mark.parametrize("r, sigma", [(0.05, 0.25), (0.1, 0.05)])
+    def test_implicit_edge_term_of_a_column_zero_but_at_one_level(self, r, sigma, edge, case):
+        # a call's S = 0 column and a put's s_max column are zero at every
+        # level; here one level's entry there is 1: the payoff's, or the
+        # column's last, in the third block, and its edge term must enter
+        # the step that reads it
+        kind = CALL if edge == "lower" else PUT
+        level, bands, (bc_lower, bc_upper), dt = march_inputs(
+            2 * model._MARCH_ROWS + 1, kind=kind, strike=5.5, spot=5.0, r=r, sigma=sigma
+        )
+        column, node = (bc_lower, 0) if edge == "lower" else (bc_upper, -1)
+        assert level[node] == 0.0 and not column.any()
+        dead = _march(level, bands, (bc_lower, bc_upper), dt, implicit=True, keep_surface=False)
+        if case == "level":
+            level[node] = 1.0
+        else:
+            column[-1] = 1.0
+        final, _, _ = assert_marches_agree(
+            level, bands, (bc_lower, bc_upper), dt, implicit=True, keep_surface=True
+        )
+        assert not np.array_equal(final[1:-1], dead[0][1:-1])
+
+    def test_implicit_march_keeps_the_sign_of_a_zero(self):
+        # a level of +-0.0 entries on a matrix that dgttrf must pivot
+        # (|below| > |diagonal| in every column): dgttrs moves a -0.0 of the
+        # right-hand side 2u + beta into a row whose level holds +0.0, where
+        # it outlasts the solve and the subtraction; the S = 0 column is
+        # zero, and its edge term +0.0 turns 2u = -0.0 at node 1 into +0.0
+        level = np.array([0.0, -0.0, 0.0, -0.0, 0.0, 0.0])
+        bands = (
+            np.array([300.0, -300.0, -600.0, -500.0]),
+            np.array([-8.0, 2.0, 3.0, -2.0]),
+            np.zeros(4),
+        )
+        boundaries = (np.zeros(3), np.array([-0.5, 2.0, 0.5]))
+        _, levels, _ = assert_marches_agree(
+            level, bands, boundaries, 1e-2, implicit=True, keep_surface=True
+        )
+        zeros = levels[1:] == 0.0
+        assert np.signbit(levels[1:][zeros]).any() and not np.signbit(levels[1:][zeros]).all()
 
     def test_march_that_turns_to_nan_inside_a_block(self):
         # k = 30 at 400 nodes is far past the stability bound: the march
@@ -386,6 +438,20 @@ class TestMarch:
         matrix = 4.0 * np.eye(5) - np.eye(5, k=1) - np.eye(5, k=-1)
         np.testing.assert_allclose(matrix @ ring[1, 1:-1], np.ones(5), rtol=1e-14)
         assert ring[1, 0] == ring[1, -1] == 1.0
+
+    def test_implicit_step_adds_into_the_row_it_is_given(self):
+        # the march doubles the previous level into the ring row, and
+        # subtracts it from the solution there, with daxpy y <- a x + y in
+        # place; a scipy that copied y would leave the row unchanged
+        from scipy.linalg.blas import daxpy
+
+        ring = np.array([[9.0, 1.0, -2.0, 0.5, 9.0], [9.0, -0.0, -0.0, 3.0, 9.0]])
+        mid, inner = ring[0, 1:-1], ring[1, 1:-1]
+        assert daxpy(mid, inner, 3, 2.0) is inner
+        assert inner.tolist() == [2.0, -4.0, 4.0]
+        assert daxpy(mid, inner, 3, -1.0) is inner
+        assert inner.tolist() == [1.0, -2.0, 3.5]
+        assert ring[1, 0] == ring[1, -1] == 9.0
 
     def test_rounding_on_a_plateau_sets_the_flag(self):
         # all weights are >= 0 at r = 0, yet a constant level of 1e9 comes
