@@ -356,14 +356,6 @@ def _planned(method: str, job: JobSpec) -> _Row:
     return _Row(method, job.maturity, disc, solve)
 
 
-def _error_kind(exc: Exception) -> str:
-    if isinstance(exc, StabilityError):
-        return "stability"
-    if isinstance(exc, ValidationError):
-        return "invalid"
-    return "solver"
-
-
 # a diverging march overflows into NaN, which the row records as its error,
 # so numpy's warnings would only repeat it on stderr
 @np.errstate(over="ignore", invalid="ignore")
@@ -396,7 +388,7 @@ def _solve_row(row: _Row, repeats: int | None = None) -> ReportRow:
     except (McfdmError, ArithmeticError) as exc:
         # an ArithmeticError is an engine's Python-float arithmetic overflowing
         error = str(exc) if isinstance(exc, McfdmError) else f"{type(exc).__name__}: {exc}"
-        error_kind = _error_kind(exc)
+        error_kind = "stability" if isinstance(exc, StabilityError) else "solver"
         solved = (None, None, None, {})
     return ReportRow(row.method, row.maturity, *solved, error, error_kind)
 
@@ -414,12 +406,14 @@ def _report(
     job), method-major, each solving its own job, under a provenance block
     that echoes ``job``, then ``command`` and ``echo``, its sweep.
 
-    An empty sweep is refused, and every row is built, and so checked,
-    before any row runs. The rows then run in order, one at a time, so
-    that each row's elapsed_seconds times its solve alone; the ``repeats``
-    argument, when given, makes each row time that many solves after a
-    warm-up; it is positional-only, so that ``echo`` can echo it too. The
-    plan comes back with the report, so that a caller can read each row's grid.
+    An empty sweep is refused. Then ``job`` is checked under each method,
+    so that no report echoes a job that could not run, and every row is
+    built, and so checked, before any row runs. The rows then run in
+    order, one at a time, so that each row's elapsed_seconds times its
+    solve alone; the ``repeats`` argument, when given, makes each row time
+    that many solves after a warm-up; it is positional-only, so that
+    ``echo`` can echo it too. The plan comes back with the report, so that
+    a caller can read each row's grid.
 
     ``scipy`` is the version of the scipy that the report's Crank-Nicolson
     and Monte Carlo rows loaded, or ``None`` when it has no such row, even
@@ -428,6 +422,8 @@ def _report(
     """
     if not jobs:
         raise ValidationError(f"{_SUBCOMMANDS[command][1].flag} list must be nonempty")
+    for method in methods:
+        _planned(method, job)
     plan = [_planned(method, each) for method in methods for each in jobs]
     rows = tuple(_solve_row(row, repeats) for row in plan)
     job_echo = asdict(job)
@@ -478,9 +474,6 @@ def run_theta_study(scalings: Sequence[float], job: JobSpec) -> TableReport:
     """One MCFDM row per scaling k, sorted by k, with oscillation flags."""
     jobs = [replace(job, theta_scale=scaling) for scaling in scalings]
     jobs.sort(key=lambda j: j.theta_scale)
-    # the study always runs MCFDM, whatever the base job selects; the base
-    # job, whose θ the provenance echoes, is checked and not run
-    _planned("MCFDM", job)
     return _report("theta-study", job, ["MCFDM"], jobs, scalings=[j.theta_scale for j in jobs])[0]
 
 
@@ -547,7 +540,7 @@ def _render(report: TableReport, job: JobSpec) -> str:
 
 def _exit_code(report: TableReport) -> int:
     kinds = {row.error_kind for row in report.rows if row.error_kind}
-    if kinds & {"solver", "invalid"}:
+    if kinds - {"stability"}:
         return 2
     if "stability" in kinds:
         return 3

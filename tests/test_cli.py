@@ -375,6 +375,15 @@ class TestRunConvergence:
         with pytest.raises(ValidationError, match=message):
             run_convergence(grids, small_job(method="CFDM", n_time=400))
 
+    @pytest.mark.parametrize("method", ["MCFDM", "CFDM"])
+    def test_base_grid_checked_before_any_row_runs(self, monkeypatch, method):
+        # the one grid is valid; only the base job, which the provenance
+        # echoes and no row runs, holds a grid that cannot be built
+        for engine in _ENGINES:
+            monkeypatch.setattr(f"mcfdm.cli.{engine}", _fail_if_called)
+        with pytest.raises(ValidationError, match="^n_time must be an int >= 1, got 0$"):
+            run_convergence([(50, 400)], small_job(method=method, n_time=0))
+
     def test_failed_rung_is_skipped_by_the_next_order(self):
         # 100:100 is past the stability bound; the order of 200:3000 is then
         # taken against 50:400, the last rung that priced
@@ -852,6 +861,17 @@ class TestMain:
     def test_invalid_argument_exits_one(self, capsys):
         assert main(["price", "--vol", "-3"]) == 1
         assert "error:" in capsys.readouterr().err
+
+    def test_validation_error_inside_a_row_is_a_solver_failure(self, monkeypatch, capsys):
+        # every input is checked before any row runs, so a ValidationError
+        # that an engine raises inside a row is the engine's failure
+        def refuse(*args, **kwargs):
+            raise ValidationError("refused inside the row")
+
+        monkeypatch.setattr("mcfdm.cli._exact", refuse)
+        assert main(["price", "--method", "exact", "--format", "json"]) == 2
+        (row,) = json.loads(capsys.readouterr().out)["rows"]
+        assert (row["error"], row["error_kind"]) == ("refused inside the row", "solver")
 
     def test_stability_rejection_exits_three(self, capsys):
         code = main(["price", "--method", "mcfdm", "--n-time", "100"])

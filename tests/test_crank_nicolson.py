@@ -1,4 +1,6 @@
+import hashlib
 import itertools
+import json
 import math
 import tracemalloc
 
@@ -34,6 +36,17 @@ PUT = OptionKind.PUT
 
 # fixed truncation putting the spot on-node for n_space in {50, 100, 200}
 SHARED_S_MAX = 350.0 / 12.0
+
+# SHA-256 over every case of CN_MATRIX: its price, its extra and its surface
+CN_MATRIX_DIGEST = "a61cdbb89a76e4ed98e7d7616205210fc1f28567e370fdbb83afe8e2cbe9ff07"
+# kind, (spot, strike), (r, sigma), (n_space, n_time); at r = 0.1, sigma =
+# 0.05 the march factors with dgttrf, elsewhere with dpttrf
+CN_MATRIX = tuple(itertools.product(
+    (CALL, PUT),
+    ((7.0, 7.5), (5.0, 5.5)),
+    ((0.05, 0.25), (0.0, 0.25), (0.12, 0.25), (0.1, 0.05)),
+    ((50, 400), (100, 1000)),
+))
 
 
 def market():
@@ -338,3 +351,30 @@ class TestSolveCrankNicolson:
         explicit = solve_mcfdm(c, m, disc).result.price
         trapezoidal = solve_crank_nicolson(c, m, disc).price
         assert abs(explicit - trapezoidal) <= 1e-3
+
+
+class TestBitIdentity:
+    def test_cfdm_matrix_digest_holds(self, monkeypatch):
+        # a refactor or a perf change of the Crank-Nicolson march must keep
+        # every bit of every case, on both of its LAPACK paths
+        calls = {"dpttrf": 0, "dgttrf": 0}
+        for name in calls:
+            factor = getattr(scipy.linalg.lapack, name)
+
+            def counted(*args, _name=name, _factor=factor):
+                calls[_name] += 1
+                return _factor(*args)
+
+            # the march imports its LAPACK routines when it is called
+            monkeypatch.setattr(scipy.linalg.lapack, name, counted)
+        digest = hashlib.sha256()
+        for kind, (spot, strike), (r, sigma), (n_space, n_time) in CN_MATRIX:
+            c = contract(kind=kind, strike=strike, spot=spot)
+            m = MarketParams(r=r, sigma=sigma)
+            disc = build_grid(c, n_space, n_time)
+            result = solve_crank_nicolson(c, m, disc)
+            digest.update(repr(result.price).encode())
+            digest.update(json.dumps(result.extra, sort_keys=True).encode())
+            digest.update(crank_nicolson_surface(c, m, disc).tobytes())
+        assert calls == {"dpttrf": 48, "dgttrf": 16}
+        assert digest.hexdigest() == CN_MATRIX_DIGEST
