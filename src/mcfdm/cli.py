@@ -12,7 +12,9 @@ Exit codes: 0 success, 1 invalid arguments, 2 solver failure in any row
 from __future__ import annotations
 
 import argparse
+import atexit
 import csv
+import gc
 import io
 import json
 import logging
@@ -653,8 +655,11 @@ def _emit(report: TableReport, job: JobSpec) -> None:
 
 
 def main(argv: Sequence[str] | None = None) -> int:
-    if not logging.getLogger().handlers:
-        logging.basicConfig(level=logging.WARNING, format="%(levelname)s %(message)s")
+    if argv is None:
+        # the process's own command line: a frozen heap skips the collections at exit
+        atexit.unregister(gc.freeze)
+        atexit.register(gc.freeze)
+    logging.basicConfig(level=logging.WARNING, format="%(levelname)s %(message)s")
     parser = _build_parser()
     try:
         args = parser.parse_args(argv)

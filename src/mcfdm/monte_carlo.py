@@ -39,10 +39,6 @@ _BLOCK = 4096
 # time steps drawn, transformed and marched together; a 4096-path block
 # then keeps 256 kB of draws live (16 and 32 rows ran as fast)
 _CHUNK_ROWS = 8
-# the default count pools from this many steps: with 100k paths on a
-# 2-vCPU VM, serial against pooled ran 8 steps in 19.4 vs 21.3 ms,
-# 16 in 40.5 vs 38.3 ms and 32 in 111 vs 62 ms
-_POOL_MIN_STEPS = 32
 _MAX_SEED = 2**64 - 1
 
 
@@ -176,7 +172,8 @@ def price_monte_carlo(
     into one chunk buffer that the caller allocates for the call. The
     reduction always runs in block order, so the result does not depend on
     ``n_workers``. ``None`` chooses the count: one thread per usable CPU
-    when each block marches at least ``_POOL_MIN_STEPS`` steps, else one.
+    when each block marches at least one full chunk of ``_CHUNK_ROWS``
+    steps, else one.
     No more threads march than there are blocks, and ``extra["n_workers"]``
     records how many marched, the caller included. An error in any block
     is raised here once every thread has stopped. Raises
@@ -184,7 +181,7 @@ def price_monte_carlo(
     """
     _check_domain(contract, market)
     if n_workers is None:
-        n_workers = _usable_cpus() if config.n_time_steps >= _POOL_MIN_STEPS else 1
+        n_workers = _usable_cpus() if config.n_time_steps >= _CHUNK_ROWS else 1
     n_workers = _count("n_workers", n_workers, 1)
     # the normal transform loads before the clock starts, so a cold first
     # call times its simulation and not the import

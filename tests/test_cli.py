@@ -1,6 +1,7 @@
 import argparse
 import csv
 import dataclasses
+import gc
 import json
 import math
 import os
@@ -1123,6 +1124,23 @@ class TestMain:
         assert proc.stdout.strip() == f"mcfdm {mcfdm.__version__}"
         assert "RuntimeWarning" not in proc.stderr
 
+    def test_program_run_freezes_the_heap_at_exit(self, fresh_python):
+        # main() on the process's own command line reports as main(argv)
+        # does, and its exit hook freezes the heap before the probe runs
+        proc = fresh_python("-c", _FREEZE_PROBE)
+        assert proc.returncode == 0, proc.stderr
+        report, probe = proc.stdout.rstrip().rsplit("\n", 1)
+        assert "Exact" in report
+        assert probe == "frozen True"
+
+    def test_main_with_argv_leaves_the_gc_alone(self, monkeypatch, capsys):
+        registered = []
+        monkeypatch.setattr("atexit.register", lambda func, *a, **k: registered.append(func))
+        assert main(["price", "--method", "exact"]) == 0
+        assert "Exact" in capsys.readouterr().out
+        assert gc.freeze not in registered
+        assert gc.get_freeze_count() == 0
+
     def test_diverging_march_prints_no_runtime_warning(self, fresh_python):
         # k = 30 at 400 nodes overflows into NaN; the report records the
         # failed row, and numpy's warnings stay off stderr
@@ -1162,6 +1180,17 @@ def payoff(contract, s):
     return big - big
 monte_carlo.payoff = payoff
 sys.exit(cli.main(sys.argv[1:]))
+"""
+
+
+# runs the CLI as a program on its own command line; the probe, registered
+# first, runs last at exit and reads whether the heap was frozen
+_FREEZE_PROBE = """
+import atexit, gc, sys
+atexit.register(lambda: print("frozen", gc.get_freeze_count() > 0))
+sys.argv = ["mcfdm", "price", "--method", "exact"]
+from mcfdm.cli import main
+sys.exit(main())
 """
 
 

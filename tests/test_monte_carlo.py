@@ -237,12 +237,11 @@ class TestPriceMonteCarlo:
         [
             # a 1-step run and a one-block run stay serial on any host
             pytest.param(8192, 1, False, id="one-step"),
-            pytest.param(monte_carlo._BLOCK, monte_carlo._POOL_MIN_STEPS, False, id="one-block"),
-            # a chunk of steps is not enough work to pay for a pool
-            pytest.param(8192, monte_carlo._CHUNK_ROWS, False, id="one-chunk"),
-            # two blocks of the pool's step count each: a thread per block,
-            # up to the usable CPUs
-            pytest.param(8192, monte_carlo._POOL_MIN_STEPS, True, id="pool-steps"),
+            pytest.param(monte_carlo._BLOCK, monte_carlo._CHUNK_ROWS, False, id="one-block"),
+            # a pool pays once each block marches a full chunk of steps: a
+            # thread per block from there, up to the usable CPUs
+            pytest.param(8192, monte_carlo._CHUNK_ROWS - 1, False, id="under-a-chunk"),
+            pytest.param(8192, monte_carlo._CHUNK_ROWS, True, id="one-chunk"),
         ],
     )
     def test_default_count_follows_the_steps_blocks_and_cpus(
